@@ -23,7 +23,8 @@ PR-over-PR (the previously recorded fast-plane seconds are carried along as
 
 A second pass times *truncated* (e8m10, non-counting) runs of the
 compressible workloads on the instrumented plane vs the fused truncating
-plane (``repro.kernels.trunc``, reached via ``plane="auto"``) — the sweep
+plane (the fused kernels with the ``repro.kernels.trunc.Rounder`` hook,
+reached via ``plane="auto"``) — the sweep
 engine's actual point hot path when ``count_point_ops=False`` — again
 insisting the states agree bitwise, and records the truncated speedup the
 same way.

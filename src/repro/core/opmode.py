@@ -62,12 +62,11 @@ class FPContext:
     #: execution plane this context runs on (see :mod:`repro.kernels`);
     #: the fused fast plane overrides this to "fast"
     plane: str = "instrumented"
-    #: True when kernels may substitute the pre-fused numpy stencils of
-    #: :mod:`repro.kernels.fused` for the op-by-op context path
+    #: True when kernels may substitute the fused kernels of
+    #: :mod:`repro.kernels.fused` / :mod:`repro.kernels.flux` for the
+    #: op-by-op context path, called with the context's ``rounder`` hook
+    #: (:mod:`repro.kernels.trunc`)
     fused: bool = False
-    #: True when kernels may substitute the fused *truncating* twins of
-    #: :mod:`repro.kernels.trunc` (quantize-at-op-boundary, no counters)
-    fused_trunc: bool = False
 
     # -- to be provided by subclasses ---------------------------------------
     def _apply(self, ufunc, inputs: Sequence[ArrayLike], label: str):

@@ -15,12 +15,11 @@ All arithmetic is expressed through the numerics context obtained from the
 kernel-plane layer (:mod:`repro.kernels`), so the reconstruction stage can
 be truncated, shadow-tracked (mem-mode "Recon" module of Table 2) or
 excluded, independently of the other solver stages.  When the active
-context is on the fused binary64 fast plane (``ctx.fused``),
-:func:`reconstruct` dispatches to the pre-fused numpy stencils of
-:mod:`repro.kernels.fused` instead of the op-by-op path — bit-identical
-results, zero per-op dispatch; on the fused truncating plane
-(``ctx.fused_trunc``) it dispatches to the quantize-at-op-boundary
-stencils of :mod:`repro.kernels.trunc`.
+context is on a fused fast plane (``ctx.fused``), :func:`reconstruct`
+dispatches to the pre-fused numpy stencils of :mod:`repro.kernels.fused`
+with the context's rounding hook (``q=ctx.rounder``) instead of the
+op-by-op path — bit-identical results, zero per-op dispatch, on the
+binary64 and the truncating plane alike.
 
 The functions operate on 2-D block arrays including guard cells along the
 sweep axis and return the left/right states at the ``n+1`` interior faces.
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from ..kernels import FPContext, fused, trunc
+from ..kernels import FPContext, fused
 
 __all__ = ["reconstruct", "SCHEMES"]
 
@@ -207,9 +206,8 @@ def reconstruct(
 
     The fused branches serve direct callers holding a fast-plane context;
     the hydro solver's own fast paths never reach them (``advance_block``
-    short-circuits into :func:`repro.kernels.flux.advance` /
-    :func:`repro.kernels.trunc.advance`, which invoke the fused stencils
-    with workspace-threaded scratch keys themselves).
+    short-circuits into :func:`repro.kernels.flux.advance`, which invokes
+    the fused stencils with workspace-threaded scratch keys itself).
     """
     try:
         fn = SCHEMES[scheme]
@@ -220,9 +218,5 @@ def reconstruct(
     if scheme == "plm" and ng < 2:
         raise ValueError("plm needs at least 2 guard cells")
     if getattr(ctx, "fused", False):
-        return fused.FUSED_SCHEMES[scheme](u, axis, ng, n_faces_minus_1)
-    if getattr(ctx, "fused_trunc", False):
-        return trunc.TRUNC_SCHEMES[scheme](
-            u, axis, ng, n_faces_minus_1, fmt=ctx.fmt, rounding=ctx.rounding
-        )
+        return fused.FUSED_SCHEMES[scheme](u, axis, ng, n_faces_minus_1, q=ctx.rounder)
     return fn(u, axis, ng, n_faces_minus_1, ctx)

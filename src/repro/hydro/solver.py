@@ -24,13 +24,13 @@ from ..amr.grid import AMRGrid
 from ..kernels import FPContext, FullPrecisionContext, ShadowContext
 from ..kernels import flux as fused_flux
 from ..kernels import grid as grid_kernels
-from ..kernels import trunc as trunc_flux
 from ..kernels.scratch import (
     Workspace,
     batching_enabled,
     grid_plane_enabled,
     make_workspace,
 )
+from ..kernels.trunc import EXACT
 from .eos import GammaLawEOS
 from .reconstruction import reconstruct
 from .riemann import SOLVERS
@@ -210,22 +210,18 @@ class HydroSolver:
         interior primitive variables as plain binary64 arrays (the AMR grid
         stores plain arrays regardless of the instrumentation in use).
 
-        On the fused fast plane (``ctx.fused``) the whole update —
+        On a fused fast plane (``ctx.fused``) the whole update —
         reconstruct → wave speeds → flux → conserved update — runs through
         the pre-fused pipeline of :mod:`repro.kernels.flux` without a
-        single context dispatch, bit-identical to the op-by-op path.  On
-        the fused *truncating* plane (``ctx.fused_trunc``) the same
-        pipeline runs through :mod:`repro.kernels.trunc`, quantised at
-        every op boundary — bit-identical to the optimized instrumented
-        truncating path.
+        single context dispatch, rounded by the context's hook
+        (``ctx.rounder``): untouched on binary64, quantised at every op
+        boundary on the truncating plane — bit-identical to the op-by-op
+        path either way.
         """
         ng, nxb, nyb = block.ng, block.nxb, block.nyb
         if getattr(ctx, "fused", False):
             prims = {name: block.data[name] for name in PRIMITIVE_VARS}
-            return self._advance_fused(prims, dt, block.dx, block.dy, ng, nxb, nyb)
-        if getattr(ctx, "fused_trunc", False):
-            prims = {name: block.data[name] for name in PRIMITIVE_VARS}
-            return self._advance_fused_trunc(prims, dt, block.dx, block.dy, ng, nxb, nyb, ctx)
+            return self._advance_fused(prims, dt, block.dx, block.dy, ng, nxb, nyb, ctx.rounder)
         stages = self._stage_contexts(ctx)
         update_ctx = stages["update"]
 
@@ -298,8 +294,8 @@ class HydroSolver:
         }
 
     def _advance_fused(self, prims: Dict, dt: float, dx: float, dy: float,
-                       ng: int, nxb: int, nyb: int) -> Dict[str, np.ndarray]:
-        """The fully fused block (or block-stack) update of the fast plane."""
+                       ng: int, nxb: int, nyb: int, q=EXACT) -> Dict[str, np.ndarray]:
+        """The fully fused block (or block-stack) update under the hook ``q``."""
         return fused_flux.advance(
             prims, dt, dx, dy, ng, nxb, nyb,
             scheme=self.reconstruction,
@@ -309,22 +305,7 @@ class HydroSolver:
             pres_floor=self.eos.pressure_floor,
             gravity=self.gravity,
             ws=self._workspace,
-        )
-
-    def _advance_fused_trunc(self, prims: Dict, dt: float, dx: float, dy: float,
-                             ng: int, nxb: int, nyb: int, ctx: FPContext) -> Dict[str, np.ndarray]:
-        """The fully fused truncating block (or block-stack) update."""
-        return trunc_flux.advance(
-            prims, dt, dx, dy, ng, nxb, nyb,
-            scheme=self.reconstruction,
-            solver=self.riemann,
-            gamma=self.eos.gamma,
-            dens_floor=self.eos.density_floor,
-            pres_floor=self.eos.pressure_floor,
-            gravity=self.gravity,
-            fmt=ctx.fmt,
-            rounding=ctx.rounding,
-            ws=self._workspace,
+            q=q,
         )
 
     # ------------------------------------------------------------------
@@ -334,12 +315,13 @@ class HydroSolver:
         """One forward-Euler substep over all leaves (guard cells refilled).
 
         Blocks whose context rides a fused plane (binary64 or truncating)
-        are stacked per AMR level — and, for the truncating plane, per
-        (format, rounding) signature — into one ``(nblocks, nx, ny)``
-        batched kernel invocation (element-wise ufuncs are independent per
-        slot, so the batched update is bit-identical to the per-block
-        loop); everything else — instrumented truncating, shadow and
-        counting contexts — takes the per-block op-by-op path.
+        are stacked per AMR level and rounding-hook signature (binary64,
+        or one truncating (format, rounding) pair) into one
+        ``(nblocks, nx, ny)`` batched kernel invocation (element-wise
+        ufuncs are independent per slot, so the batched update is
+        bit-identical to the per-block loop); everything else —
+        instrumented truncating, shadow and counting contexts — takes the
+        per-block op-by-op path.
         """
         max_level = grid.finest_level
         keys = grid.sorted_keys()
@@ -354,10 +336,7 @@ class HydroSolver:
             for key in keys:
                 ctx = contexts[key]
                 if getattr(ctx, "fused", False):
-                    batched.setdefault((key[0], "b64"), []).append(key)
-                elif getattr(ctx, "fused_trunc", False):
-                    sig = (key[0], "trunc", ctx.fmt.exp_bits, ctx.fmt.man_bits, ctx.rounding)
-                    batched.setdefault(sig, []).append(key)
+                    batched.setdefault((key[0], *ctx.rounder.sig), []).append(key)
             # a single block gains nothing from stacking
             batched = {sig: group for sig, group in batched.items() if len(group) > 1}
 
@@ -379,12 +358,11 @@ class HydroSolver:
                 block.set_interior(name, values)
         grid.fill_guard_cells(list(PRIMITIVE_VARS))
 
-    def _advance_level_batched(self, grid: AMRGrid, group, dt: float, ctx=None) -> Dict:
+    def _advance_level_batched(self, grid: AMRGrid, group, dt: float, ctx: FPContext) -> Dict:
         """Advance same-level fused blocks as one stacked kernel invocation.
 
-        ``ctx`` is the (shared) context of the group: a truncating
-        fast-plane context routes the stack through the fused truncating
-        pipeline, anything else through the binary64 one.
+        ``ctx`` is the (shared) context of the group; its rounding hook
+        rounds the stacked update.
         """
         blocks = [grid.leaves[key] for key in group]
         first = blocks[0]
@@ -396,14 +374,9 @@ class HydroSolver:
             for i, block in enumerate(blocks):
                 stack[i] = block.data[name]
             prims[name] = stack
-        if getattr(ctx, "fused_trunc", False):
-            new = self._advance_fused_trunc(
-                prims, dt, first.dx, first.dy, first.ng, first.nxb, first.nyb, ctx
-            )
-        else:
-            new = self._advance_fused(
-                prims, dt, first.dx, first.dy, first.ng, first.nxb, first.nyb
-            )
+        new = self._advance_fused(
+            prims, dt, first.dx, first.dy, first.ng, first.nxb, first.nyb, ctx.rounder
+        )
         return {
             key: {name: new[name][i] for name in PRIMITIVE_VARS}
             for i, key in enumerate(group)

@@ -201,13 +201,8 @@ class LevelSet:
         ctx = ctx or FullPrecisionContext(count_ops=False, track_memory=False)
         if self._fused and ctx.fused:
             self.phi = kbubble.levelset_advect(
-                self.phi, velx, vely, dt, self.dx, self.dy, ws=self._ws, key=("ls", "adv")
-            )
-            return
-        if self._fused and ctx.fused_trunc:
-            self.phi = kbubble.levelset_advect_trunc(
-                self.phi, velx, vely, dt, self.dx, self.dy, ws=self._ws,
-                key=("ls", "adv"), fmt=ctx.fmt, rounding=ctx.rounding,
+                self.phi, velx, vely, dt, self.dx, self.dy, ws=self._ws, key=("ls", "adv"),
+                q=ctx.rounder,
             )
             return
         phi = ctx.const(self.phi)

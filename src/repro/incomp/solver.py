@@ -29,7 +29,6 @@ from ..hydro.reconstruction import _weno5_edge
 from ..kernels import FPContext, FullPrecisionContext, select_context
 from ..kernels import bubble as kbubble
 from ..kernels.fused import weno5_edge as _fused_weno5_edge
-from ..kernels.trunc import weno5_edge as _trunc_weno5_edge
 from ..kernels.grid import pad_edge
 from ..kernels.scratch import bubble_plane_enabled, grid_plane_enabled, make_workspace
 from .levelset import LevelSet, circle_level_set, upwind_derivative
@@ -154,17 +153,14 @@ class BubbleSolver:
         On the fused bubble plane fused contexts run the whole-operator
         twins of :mod:`repro.kernels.bubble`; otherwise only the edge
         reconstruction is fused and the selection/difference ops go through
-        ``ctx`` (which keeps instrumented counters byte-identical).
+        ``ctx`` (which keeps instrumented counters byte-identical).  Fused
+        kernels are rounded by the context's hook (``q=ctx.rounder``).
         """
         padded = self._pad(f, 3, "weno")
         if self._fused_bubble and ctx.fused:
             return kbubble.weno5_derivative(
-                padded, vel, spacing, axis, ws=self._workspace, key=("adv", which, axis)
-            )
-        if self._fused_bubble and ctx.fused_trunc:
-            return kbubble.weno5_derivative_trunc(
                 padded, vel, spacing, axis, ws=self._workspace, key=("adv", which, axis),
-                fmt=ctx.fmt, rounding=ctx.rounding,
+                q=ctx.rounder,
             )
 
         def cells(offset):
@@ -180,13 +176,7 @@ class BubbleSolver:
             # stay live until the upwind selection below
             ws = self._workspace
             edge = lambda a, b, c, d, e, k: _fused_weno5_edge(
-                a, b, c, d, e, ws=ws, key=("adv", axis, k)
-            )
-        elif getattr(ctx, "fused_trunc", False):
-            ws = self._workspace
-            edge = lambda a, b, c, d, e, k: _trunc_weno5_edge(
-                a, b, c, d, e, ws=ws, key=("adv", axis, k),
-                fmt=ctx.fmt, rounding=ctx.rounding,
+                a, b, c, d, e, ws=ws, key=("adv", axis, k), q=ctx.rounder
             )
         else:
             edge = lambda a, b, c, d, e, k: _weno5_edge(a, b, c, d, e, ctx)
@@ -211,13 +201,7 @@ class BubbleSolver:
         if self._fused_bubble and ctx.fused:
             return kbubble.upwind_derivative(
                 f, vel, spacing, axis, "edge", padded,
-                ws=self._workspace, key=("uadv", which, axis),
-            )
-        if self._fused_bubble and ctx.fused_trunc:
-            return kbubble.upwind_derivative_trunc(
-                f, vel, spacing, axis, "edge", padded,
-                ws=self._workspace, key=("uadv", which, axis),
-                fmt=ctx.fmt, rounding=ctx.rounding,
+                ws=self._workspace, key=("uadv", which, axis), q=ctx.rounder,
             )
         return upwind_derivative(f, vel, spacing, axis, ctx, boundary="edge", padded=padded)
 
@@ -228,29 +212,16 @@ class BubbleSolver:
         derivatives into one stacked edge reconstruction
         (:func:`repro.kernels.bubble.weno5_derivative_pair`) — bit-identical
         per batch row to the per-axis twins."""
-        if (
-            self._fused_bubble
-            and self.config.advection_scheme == "weno5"
-            and (ctx.fused or ctx.fused_trunc)
-        ):
+        if self._fused_bubble and self.config.advection_scheme == "weno5" and ctx.fused:
             cfg = self.config
             ws = self._workspace
             padded = self._pad(f, 3, "weno")
-            if ctx.fused:
-                fx, fy = kbubble.weno5_derivative_pair(
-                    padded, self.velx, self.vely, cfg.dx, cfg.dy,
-                    ws=ws, key=("adv", which),
-                )
-                return kbubble.advection_term(
-                    fx, fy, self.velx, self.vely, ws=ws, key=("adv", which)
-                )
-            fx, fy = kbubble.weno5_derivative_pair_trunc(
+            fx, fy = kbubble.weno5_derivative_pair(
                 padded, self.velx, self.vely, cfg.dx, cfg.dy,
-                ws=ws, key=("adv", which), fmt=ctx.fmt, rounding=ctx.rounding,
+                ws=ws, key=("adv", which), q=ctx.rounder,
             )
-            return kbubble.advection_term_trunc(
-                fx, fy, self.velx, self.vely, ws=ws, key=("adv", which),
-                fmt=ctx.fmt, rounding=ctx.rounding,
+            return kbubble.advection_term(
+                fx, fy, self.velx, self.vely, ws=ws, key=("adv", which), q=ctx.rounder
             )
         deriv = (
             self._weno5_derivative
@@ -261,12 +232,8 @@ class BubbleSolver:
         fy = deriv(f, self.vely, self.config.dy, 1, ctx, which)
         if self._fused_bubble and ctx.fused:
             return kbubble.advection_term(
-                fx, fy, self.velx, self.vely, ws=self._workspace, key=("adv", which)
-            )
-        if self._fused_bubble and ctx.fused_trunc:
-            return kbubble.advection_term_trunc(
                 fx, fy, self.velx, self.vely, ws=self._workspace, key=("adv", which),
-                fmt=ctx.fmt, rounding=ctx.rounding,
+                q=ctx.rounder,
             )
         out = ctx.add(
             ctx.mul(ctx.const(self.velx), fx, "adv:u_fx"),
@@ -283,13 +250,7 @@ class BubbleSolver:
         if self._fused_bubble and ctx.fused:
             return kbubble.diffusion_term(
                 f, viscosity, fp, nup, cfg.dx, cfg.dy,
-                ws=self._workspace, key=("diff", which),
-            )
-        if self._fused_bubble and ctx.fused_trunc:
-            return kbubble.diffusion_term_trunc(
-                f, viscosity, fp, nup, cfg.dx, cfg.dy,
-                ws=self._workspace, key=("diff", which),
-                fmt=ctx.fmt, rounding=ctx.rounding,
+                ws=self._workspace, key=("diff", which), q=ctx.rounder,
             )
 
         def shifted(arr, di, dj):
@@ -481,13 +442,7 @@ class BubbleSolver:
             # LevelSet copy of the op-by-op path is unnecessary
             return kbubble.levelset_advect(
                 self.levelset.phi, self.velx, self.vely, self._pending_dt,
-                cfg.dx, cfg.dy, ws=self._workspace, key=("ls", "adv"),
-            )
-        if self._fused_bubble and ctx.fused_trunc:
-            return kbubble.levelset_advect_trunc(
-                self.levelset.phi, self.velx, self.vely, self._pending_dt,
-                cfg.dx, cfg.dy, ws=self._workspace, key=("ls", "adv"),
-                fmt=ctx.fmt, rounding=ctx.rounding,
+                cfg.dx, cfg.dy, ws=self._workspace, key=("ls", "adv"), q=ctx.rounder,
             )
         ls = LevelSet(self.levelset.phi, cfg.dx, cfg.dy)
         ls.advect(self.velx, self.vely, self._pending_dt, ctx)

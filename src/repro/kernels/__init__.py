@@ -16,12 +16,16 @@ on:
   non-truncating, non-instrumenting contexts run as plain vectorized
   numpy with zero per-op bookkeeping and (steady-state) zero temporary
   allocation, bit-identical to the instrumented plane, and
-* the **fused truncating fast plane** — :class:`TruncFastPlaneContext`
-  plus the quantize-at-op-boundary kernel twins of
-  :mod:`repro.kernels.trunc`: non-counting truncating contexts run the
-  same fused pipeline with a vectorised quantisation at exactly the op
-  boundaries the instrumented plane rounds at, bit-identical to the
-  optimized op-by-op truncating path.
+* the **fused truncating fast plane** — :class:`TruncFastPlaneContext`:
+  non-counting truncating contexts run the *same* fused kernels with the
+  truncating rounding hook of :mod:`repro.kernels.trunc`, a vectorised
+  quantisation at exactly the op boundaries the instrumented plane rounds
+  at, bit-identical to the optimized op-by-op truncating path.
+
+Each fused kernel has one source: it calls a rounding hook ``q`` after
+every arithmetic op, and each fast-plane context carries its hook as
+``ctx.rounder`` (the identity :data:`~repro.kernels.trunc.EXACT` on
+binary64, a :class:`~repro.kernels.trunc.Rounder` when truncating).
 
 Alongside the context planes, :mod:`repro.kernels.grid` fuses the
 context-free *grid* side — precomputed guard-fill plans, a batched
@@ -30,8 +34,8 @@ context-free *grid* side — precomputed guard-fill plans, a batched
 numpy outside any context, so instrumented counters stay byte-identical.
 :mod:`repro.kernels.bubble` does the same for the incompressible bubble
 solver — scratch-buffered twins of its advection/diffusion/level-set/
-projection operators, each truncatable one in a binary64 *and* a
-quantize-at-op-boundary variant — gated by ``RAPTOR_FAST_NO_BUBBLE``
+projection operators, the truncatable ones behind the same rounding
+hook — gated by ``RAPTOR_FAST_NO_BUBBLE``
 (:func:`bubble_plane_enabled`).
 
 Plane selection (:func:`select_context`) is applied centrally by

@@ -13,22 +13,23 @@ of every hot bubble operator, threading all intermediates through a
 
 Two families live here:
 
-* **binary64 fast twins** — dispatched when the active context carries the
-  ``fused`` flag (:class:`~repro.kernels.fast.FastPlaneContext`).  Each
-  evaluates exactly the same ufuncs on the same operands as its op-by-op
-  twin, so the results are bit-identical.  The context-free operators
-  (Heaviside/delta/material fields, curvature, surface tension, buoyancy,
-  reinitialisation, the :func:`np.gradient` twin of the projection step)
-  never touch a context at all, so — like the fused grid plane — they run
-  on *every* plane when the knob is on and instrumented counters stay
-  byte-identical.
-* **truncating twins** (``*_trunc``) — dispatched on ``fused_trunc``
-  (:class:`~repro.kernels.trunc.TruncFastPlaneContext`).  Built on
-  :func:`~repro.kernels.trunc.quantize_into`, they insert a vectorised
+* **context-free operators** — Heaviside/delta/material fields,
+  curvature, surface tension, buoyancy, reinitialisation and the
+  :func:`np.gradient` twin of the projection step never touch a context
+  at all, so — like the fused grid plane — they run on *every* plane when
+  the knob is on and instrumented counters stay byte-identical.
+* **truncation targets** (advection derivatives, the advection total,
+  diffusion, level-set transport) — dispatched when the active context
+  carries the ``fused`` flag, with ``q=ctx.rounder``.  Each is written
+  once around the rounding hook ``q`` of :mod:`repro.kernels.trunc`: the
+  exact hook of :class:`~repro.kernels.fast.FastPlaneContext` evaluates
+  exactly the ufuncs of the op-by-op twin on the same operands; the
+  :class:`~repro.kernels.trunc.Rounder` of
+  :class:`~repro.kernels.trunc.TruncFastPlaneContext` adds a vectorised
   quantisation after every arithmetic op — the exact boundaries the
   optimized :class:`~repro.core.opmode.TruncatedContext` rounds at —
   while ``where``/comparison/constant fills stay quantise-closed.
-  Constants are computed in binary64 first and quantised once, matching
+  Constants are computed in binary64 first and rounded once, matching
   ``TruncatedContext.const``.
 
 Boundary subtlety the twins preserve bit-for-bit: the *momentum* upwind
@@ -45,11 +46,12 @@ Workspace lifecycle: every function takes ``ws=`` plus a call-site ``key``
 and derives all internal buffer keys from it, so simultaneously-live
 results (``adv_u`` vs ``adv_v``, the truncated and full-precision sides of
 a blended evaluation) never alias as long as call sites pass distinct
-keys; truncating twins additionally prefix their keys with ``"T"`` so a
-blended cell can hold both evaluations at once.  Results that become
-solver *state* (the advected/reinitialised level set) are fresh
-allocations; everything else, including returned operator fields, lives in
-scratch and is only valid until the same call site runs again.
+keys; the truncation targets additionally prefix their keys with the
+hook's ``key`` (``"T"`` for a rounder, nothing for binary64) so a blended
+cell can hold both evaluations at once.  Results that become solver
+*state* (the advected/reinitialised level set) are fresh allocations;
+everything else, including returned operator fields, lives in scratch and
+is only valid until the same call site runs again.
 """
 from __future__ import annotations
 
@@ -57,14 +59,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..core.fpformat import FPFormat
-from ..core.quantize import RoundingMode
 from . import fused
 from .fused import where
 from .scratch import Workspace
 from .scratch import out_accessor as _o
-from .trunc import _Q, quantize_into
-from .trunc import weno5_edge as _trunc_weno5_edge
+from .trunc import EXACT
 
 __all__ = [
     "roll1",
@@ -77,15 +76,10 @@ __all__ = [
     "surface_tension",
     "buoyancy",
     "weno5_derivative",
-    "weno5_derivative_trunc",
     "upwind_derivative",
-    "upwind_derivative_trunc",
     "advection_term",
-    "advection_term_trunc",
     "diffusion_term",
-    "diffusion_term_trunc",
     "levelset_advect",
-    "levelset_advect_trunc",
 ]
 
 
@@ -349,7 +343,7 @@ def surface_tension(phi: np.ndarray, eps: float, sigma: float, dx: float, dy: fl
 
 
 # ---------------------------------------------------------------------------
-# advection derivatives (truncation targets: fast + truncating twins)
+# advection derivatives (truncation targets)
 # ---------------------------------------------------------------------------
 def _weno_cells(padded: np.ndarray, axis: int, offset: int) -> np.ndarray:
     sl = [slice(3, -3), slice(3, -3)]
@@ -406,70 +400,53 @@ def _weno_stack_pair(padded, ws, key):
     return stack
 
 
-def _upwind_faces_pair(edges, velx, vely, ws, key):
-    """Shared upwind face selection + face difference for the pair twins:
-    ``edges`` is the ``(8, nx, ny)`` batched reconstruction; returns the
-    ``(2, nx, ny)`` face difference ``f_plus - f_minus`` (row 0: axis 0)."""
-    o = _o(ws)
-    shp = edges.shape[1:]
-    vs = o((*key, "vs"), (2,) + shp)
-    if vs is None:
-        vs = np.empty((2,) + shp)
-    np.copyto(vs[0], velx)
-    np.copyto(vs[1], vely)
-    up = np.greater(vs, 0.0, out=o((*key, "up"), (2,) + shp, bool))
-    lm, lp, rm, rp = edges[0:2], edges[2:4], edges[4:6], edges[6:8]
-    fm = where(up, lm, rm, out=o((*key, "fm"), (2,) + shp))
-    fp = where(up, lp, rp, out=o((*key, "fp"), (2,) + shp))
-    return np.subtract(fp, fm, out=fp)
-
-
 def weno5_derivative_pair(padded: np.ndarray, velx: np.ndarray, vely: np.ndarray,
                           dx: float, dy: float,
-                          ws: Optional[Workspace] = None, key=()) -> Tuple[np.ndarray, np.ndarray]:
+                          ws: Optional[Workspace] = None, key=(), *,
+                          q=EXACT) -> Tuple[np.ndarray, np.ndarray]:
     """Both momentum-advection WENO5 derivatives (``d f/dx``, ``d f/dy``) of
     one padded field in a single batched ``fused.weno5_edge`` call — row
-    ``a`` of every elementwise intermediate carries exactly the bits of the
-    standalone axis-``a`` :func:`weno5_derivative`."""
+    ``a`` of every elementwise intermediate (rounding included: it is
+    elementwise too) carries exactly the bits of the standalone axis-``a``
+    :func:`weno5_derivative`."""
+    key = (*q.key, *key)
+    q = q.bind(ws)
     stack = _weno_stack_pair(padded, ws, key)
     edges = fused.weno5_edge(stack[0], stack[1], stack[2], stack[3], stack[4],
-                             ws=ws, key=(*key, "e"))
-    d = _upwind_faces_pair(edges, velx, vely, ws, key)
-    np.multiply(d[0], 1.0 / dx, out=d[0])
-    np.multiply(d[1], 1.0 / dy, out=d[1])
-    return d[0], d[1]
-
-
-def weno5_derivative_pair_trunc(padded: np.ndarray, velx: np.ndarray, vely: np.ndarray,
-                                dx: float, dy: float,
-                                ws: Optional[Workspace] = None, key=(), *,
-                                fmt: FPFormat, rounding: str = RoundingMode.NEAREST_EVEN
-                                ) -> Tuple[np.ndarray, np.ndarray]:
-    """Truncating twin of :func:`weno5_derivative_pair`: quantisation is
-    elementwise, so the batched rows round exactly as the standalone
-    :func:`weno5_derivative_trunc` calls they pack."""
-    key = ("T", *key)
-    q = _Q(fmt, rounding, ws)
-    stack = _weno_stack_pair(padded, ws, key)
-    edges = _trunc_weno5_edge(stack[0], stack[1], stack[2], stack[3], stack[4],
-                              ws=ws, key=(*key, "e"), fmt=fmt, rounding=rounding)
-    d = _upwind_faces_pair(edges, velx, vely, ws, key)
-    d = q(d)
+                             ws=ws, key=(*key, "e"), q=q)
+    # upwind face selection on the (2, nx, ny) velocity pair (row 0: axis 0)
+    o = _o(ws)
+    shp = (2,) + edges.shape[1:]
+    vs = o((*key, "vs"), shp)
+    if vs is None:
+        vs = np.empty(shp)
+    np.copyto(vs[0], velx)
+    np.copyto(vs[1], vely)
+    up = np.greater(vs, 0.0, out=o((*key, "up"), shp, bool))
+    lm, lp, rm, rp = edges[0:2], edges[2:4], edges[4:6], edges[6:8]
+    fm = where(up, lm, rm, out=o((*key, "fm"), shp))
+    fp = where(up, lp, rp, out=o((*key, "fp"), shp))
+    d = np.subtract(fp, fm, out=fp)
+    q(d)
     np.multiply(d[0], q.const(1.0 / dx), out=d[0])
     np.multiply(d[1], q.const(1.0 / dy), out=d[1])
-    d = q(d)
+    q(d)
     return d[0], d[1]
 
 
 def weno5_derivative(padded: np.ndarray, vel: np.ndarray, spacing: float, axis: int,
-                     ws: Optional[Workspace] = None, key=()) -> np.ndarray:
-    """Binary64 twin of ``BubbleSolver._weno5_derivative`` (minus the
-    padding, which the caller supplies): four WENO5 edge reconstructions
-    batched into one stacked ``fused.weno5_edge`` call, upwind face
-    selection, ``(f_plus - f_minus) * (1/spacing)``."""
+                     ws: Optional[Workspace] = None, key=(), *, q=EXACT) -> np.ndarray:
+    """Twin of ``BubbleSolver._weno5_derivative`` (minus the padding, which
+    the caller supplies): four WENO5 edge reconstructions batched into one
+    stacked ``fused.weno5_edge`` call, upwind face selection,
+    ``(f_plus - f_minus) * (1/spacing)``, rounded after the face difference
+    and the reciprocal-spacing multiply (``adv:face_diff`` /
+    ``adv:weno_deriv``)."""
+    key = (*q.key, *key)
+    q = q.bind(ws)
     stack = _weno_stack(padded, axis, ws, key)
     edges = fused.weno5_edge(stack[0], stack[1], stack[2], stack[3], stack[4],
-                             ws=ws, key=(*key, "e"))
+                             ws=ws, key=(*key, "e"), q=q)
     lm, lp, rm, rp = edges[0], edges[1], edges[2], edges[3]
     o = _o(ws)
     shp = lm.shape
@@ -477,32 +454,7 @@ def weno5_derivative(padded: np.ndarray, vel: np.ndarray, spacing: float, axis: 
     fm = where(up, lm, rm, out=o((*key, "fm"), shp))
     fp = where(up, lp, rp, out=o((*key, "fp"), shp))
     d = np.subtract(fp, fm, out=fp)
-    return np.multiply(d, 1.0 / spacing, out=d)
-
-
-def weno5_derivative_trunc(padded: np.ndarray, vel: np.ndarray, spacing: float, axis: int,
-                           ws: Optional[Workspace] = None, key=(), *,
-                           fmt: FPFormat, rounding: str = RoundingMode.NEAREST_EVEN) -> np.ndarray:
-    """Truncating twin: quantised WENO5 edges (``trunc.weno5_edge``), then
-    quantise after the face difference and the reciprocal-spacing multiply
-    — the boundaries ``adv:face_diff`` / ``adv:weno_deriv`` round at.
-
-    Like the binary64 twin, the four edges are reconstructed in one stacked
-    ``trunc.weno5_edge`` call: quantisation is elementwise, so each batch
-    row rounds exactly as its standalone call would."""
-    key = ("T", *key)
-    q = _Q(fmt, rounding, ws)
-    stack = _weno_stack(padded, axis, ws, key)
-    edges = _trunc_weno5_edge(stack[0], stack[1], stack[2], stack[3], stack[4],
-                              ws=ws, key=(*key, "e"), fmt=fmt, rounding=rounding)
-    lm, lp, rm, rp = edges[0], edges[1], edges[2], edges[3]
-    o = _o(ws)
-    shp = lm.shape
-    up = np.greater(vel, 0.0, out=o((*key, "up"), shp, bool))
-    fm = where(up, lm, rm, out=o((*key, "fm"), shp))
-    fp = where(up, lp, rp, out=o((*key, "fp"), shp))
-    d = np.subtract(fp, fm, out=fp)
-    d = q(d)
+    q(d)
     d = np.multiply(d, q.const(1.0 / spacing), out=d)
     return q(d)
 
@@ -524,49 +476,31 @@ def _upwind_neighbours(f, axis, boundary, padded, o, key):
 
 def upwind_derivative(f: np.ndarray, vel: np.ndarray, spacing: float, axis: int,
                       boundary: str = "wrap", padded: Optional[np.ndarray] = None,
-                      ws: Optional[Workspace] = None, key=()) -> np.ndarray:
-    """Binary64 twin of the shared first-order upwind derivative.
+                      ws: Optional[Workspace] = None, key=(), *, q=EXACT) -> np.ndarray:
+    """Twin of the shared first-order upwind derivative.
 
     ``boundary="edge"`` consumes a caller-supplied edge padding (the
     momentum stencil of ``incomp/solver.py``); ``boundary="wrap"`` rolls
     periodically (the level-set stencil).  Forward/backward differences are
     independent per-op computations, so their evaluation order does not
-    affect the bits."""
-    o = _o(ws)
-    shp = f.shape
-    fm, fp = _upwind_neighbours(f, axis, boundary, padded, o, key)
-    inv = 1.0 / spacing
-    bwd = np.subtract(f, fm, out=o((*key, "bwd"), shp))
-    bwd = np.multiply(bwd, inv, out=bwd)
-    fwd = np.subtract(fp, f, out=o((*key, "fwd"), shp))
-    fwd = np.multiply(fwd, inv, out=fwd)
-    up = np.greater(vel, 0.0, out=o((*key, "up"), shp, bool))
-    return where(up, bwd, fwd, out=o((*key, "res"), shp))
-
-
-def upwind_derivative_trunc(f: np.ndarray, vel: np.ndarray, spacing: float, axis: int,
-                            boundary: str = "wrap", padded: Optional[np.ndarray] = None,
-                            ws: Optional[Workspace] = None, key=(), *,
-                            fmt: FPFormat, rounding: str = RoundingMode.NEAREST_EVEN) -> np.ndarray:
-    """Truncating twin: quantise after each difference and each
-    reciprocal-spacing multiply (``adv:bwd_diff``/``adv:bwd``/
-    ``adv:fwd_diff``/``adv:fwd``); the upwind selection is
-    quantise-closed.  Operands stay raw, exactly like the optimized
-    instrumented context."""
-    key = ("T", *key)
-    q = _Q(fmt, rounding, ws)
+    affect the bits.  Each difference and each reciprocal-spacing multiply
+    is rounded (``adv:bwd_diff``/``adv:bwd``/``adv:fwd_diff``/``adv:fwd``);
+    the upwind selection is quantise-closed.  Operands stay raw, exactly
+    like the optimized instrumented context."""
+    key = (*q.key, *key)
+    q = q.bind(ws)
     o = _o(ws)
     shp = f.shape
     fm, fp = _upwind_neighbours(f, axis, boundary, padded, o, key)
     inv = q.const(1.0 / spacing)
     bwd = np.subtract(f, fm, out=o((*key, "bwd"), shp))
-    bwd = q(bwd)
+    q(bwd)
     bwd = np.multiply(bwd, inv, out=bwd)
-    bwd = q(bwd)
+    q(bwd)
     fwd = np.subtract(fp, f, out=o((*key, "fwd"), shp))
-    fwd = q(fwd)
+    q(fwd)
     fwd = np.multiply(fwd, inv, out=fwd)
-    fwd = q(fwd)
+    q(fwd)
     up = np.greater(vel, 0.0, out=o((*key, "up"), shp, bool))
     return where(up, bwd, fwd, out=o((*key, "res"), shp))
 
@@ -575,32 +509,20 @@ def upwind_derivative_trunc(f: np.ndarray, vel: np.ndarray, spacing: float, axis
 # the advection total u . grad(f)
 # ---------------------------------------------------------------------------
 def advection_term(fx: np.ndarray, fy: np.ndarray, velx: np.ndarray, vely: np.ndarray,
-                   ws: Optional[Workspace] = None, key=()) -> np.ndarray:
-    """Binary64 tail of ``BubbleSolver.advection_term``:
-    ``velx * fx + vely * fy``.  ``fx``/``fy`` are derivative results owned
-    by this evaluation and are consumed in place."""
-    t1 = np.multiply(velx, fx, out=fx)
-    t2 = np.multiply(vely, fy, out=fy)
-    return np.add(t1, t2, out=_o(ws)((*key, "res"), t1.shape))
-
-
-def advection_term_trunc(fx: np.ndarray, fy: np.ndarray, velx: np.ndarray, vely: np.ndarray,
-                         ws: Optional[Workspace] = None, key=(), *,
-                         fmt: FPFormat, rounding: str = RoundingMode.NEAREST_EVEN) -> np.ndarray:
-    """Truncating tail: the velocities go through ``const`` (an array
-    quantisation, like ``ctx.const(self.velx)``), each product and the sum
-    are quantised (``adv:u_fx``/``adv:v_fy``/``adv:total``)."""
-    key = ("T", *key)
-    q = _Q(fmt, rounding, ws)
-    o = _o(ws)
-    shp = fx.shape
-    qvx = quantize_into(velx, fmt, rounding, ws, out=o((*key, "qvx"), shp))
-    t1 = np.multiply(qvx, fx, out=fx)
-    t1 = q(t1)
-    qvy = quantize_into(vely, fmt, rounding, ws, out=o((*key, "qvy"), shp))
-    t2 = np.multiply(qvy, fy, out=fy)
-    t2 = q(t2)
-    res = np.add(t1, t2, out=o((*key, "res"), shp))
+                   ws: Optional[Workspace] = None, key=(), *, q=EXACT) -> np.ndarray:
+    """Tail of ``BubbleSolver.advection_term``: ``velx * fx + vely * fy``.
+    ``fx``/``fy`` are derivative results owned by this evaluation and are
+    consumed in place.  The velocities are lifted (an array rounding, like
+    ``ctx.const(self.velx)``; binary64 multiplies them as they are), each
+    product and the sum are rounded (``adv:u_fx``/``adv:v_fy``/
+    ``adv:total``)."""
+    key = (*q.key, *key)
+    q = q.bind(ws)
+    t1 = np.multiply(q.lift(velx, (*key, "qvx")), fx, out=fx)
+    q(t1)
+    t2 = np.multiply(q.lift(vely, (*key, "qvy")), fy, out=fy)
+    q(t2)
+    res = np.add(t1, t2, out=_o(ws)((*key, "res"), t1.shape))
     return q(res)
 
 
@@ -615,45 +537,25 @@ def _shifted(arr, di, dj):
 
 
 def diffusion_term(f: np.ndarray, nu: np.ndarray, fp: np.ndarray, nup: np.ndarray,
-                   dx: float, dy: float, ws: Optional[Workspace] = None, key=()) -> np.ndarray:
-    """Binary64 twin of ``BubbleSolver.diffusion_term``: per face,
+                   dx: float, dy: float, ws: Optional[Workspace] = None, key=(), *,
+                   q=EXACT) -> np.ndarray:
+    """Twin of ``BubbleSolver.diffusion_term``: per face,
     ``0.5 * (nu + nu_shifted) * (f_shifted - f) / spacing^2``, accumulated
     over the four faces starting from zeros.  ``fp``/``nup`` are the
-    caller-supplied edge paddings of ``f`` and ``nu``."""
-    o = _o(ws)
-    shp = f.shape
-    acc = o((*key, "res"), shp)
-    if acc is None:
-        acc = np.zeros(shp)
-    else:
-        acc.fill(0.0)
-    for di, dj in _FACES:
-        spacing = dx if dj == 0 else dy
-        s = np.add(nu, _shifted(nup, di, dj), out=o((*key, "t1"), shp))
-        nu_face = np.multiply(0.5, s, out=s)
-        g = np.subtract(_shifted(fp, di, dj), f, out=o((*key, "t2"), shp))
-        g = np.multiply(g, 1.0 / spacing ** 2, out=g)
-        flx = np.multiply(nu_face, g, out=nu_face)
-        acc = np.add(acc, flx, out=acc)
-    return acc
+    caller-supplied edge paddings of ``f`` and ``nu``.
 
-
-def diffusion_term_trunc(f: np.ndarray, nu: np.ndarray, fp: np.ndarray, nup: np.ndarray,
-                         dx: float, dy: float, ws: Optional[Workspace] = None, key=(), *,
-                         fmt: FPFormat, rounding: str = RoundingMode.NEAREST_EVEN) -> np.ndarray:
-    """Truncating twin.  ``const`` boundaries: ``nu``, ``f`` and each
-    shifted padding are array-quantised (the instrumented loop re-quantises
-    ``nu``/``f`` per face, but quantisation is idempotent, so hoisting
-    them is exact); every arithmetic op is quantised
+    ``const`` boundaries: ``nu``, ``f`` and each shifted padding are lifted
+    (the instrumented loop re-rounds ``nu``/``f`` per face, but rounding is
+    idempotent, so hoisting them is exact); every arithmetic op is rounded
     (``diff:nu_sum``/``diff:nu_face``/``diff:df``/``diff:grad``/
     ``diff:flux``/``diff:accum``), including the first accumulate onto the
     zero field."""
-    key = ("T", *key)
-    q = _Q(fmt, rounding, ws)
+    key = (*q.key, *key)
+    q = q.bind(ws)
     o = _o(ws)
     shp = f.shape
-    qnu = quantize_into(nu, fmt, rounding, ws, out=o((*key, "qnu"), shp))
-    qf = quantize_into(f, fmt, rounding, ws, out=o((*key, "qf"), shp))
+    qnu = q.lift(nu, (*key, "qnu"))
+    qf = q.lift(f, (*key, "qf"))
     half = q.const(0.5)
     acc = o((*key, "res"), shp)
     if acc is None:
@@ -662,20 +564,20 @@ def diffusion_term_trunc(f: np.ndarray, nu: np.ndarray, fp: np.ndarray, nup: np.
         acc.fill(0.0)
     for di, dj in _FACES:
         spacing = dx if dj == 0 else dy
-        qns = quantize_into(_shifted(nup, di, dj), fmt, rounding, ws, out=o((*key, "qns"), shp))
+        qns = q.lift(_shifted(nup, di, dj), (*key, "qns"))
         s = np.add(qnu, qns, out=o((*key, "t1"), shp))
-        s = q(s)
+        q(s)
         nu_face = np.multiply(half, s, out=s)
-        nu_face = q(nu_face)
-        qfs = quantize_into(_shifted(fp, di, dj), fmt, rounding, ws, out=o((*key, "qfs"), shp))
+        q(nu_face)
+        qfs = q.lift(_shifted(fp, di, dj), (*key, "qfs"))
         g = np.subtract(qfs, qf, out=o((*key, "t2"), shp))
-        g = q(g)
+        q(g)
         g = np.multiply(g, q.const(1.0 / spacing ** 2), out=g)
-        g = q(g)
+        q(g)
         flx = np.multiply(nu_face, g, out=nu_face)
-        flx = q(flx)
+        q(flx)
         acc = np.add(acc, flx, out=acc)
-        acc = q(acc)
+        q(acc)
     return acc
 
 
@@ -684,43 +586,24 @@ def diffusion_term_trunc(f: np.ndarray, nu: np.ndarray, fp: np.ndarray, nup: np.
 # ---------------------------------------------------------------------------
 def levelset_advect(phi: np.ndarray, velx: np.ndarray, vely: np.ndarray, dt: float,
                     dx: float, dy: float, ws: Optional[Workspace] = None,
-                    key=("lsadv",)) -> np.ndarray:
-    """Binary64 twin of ``LevelSet.advect``:
+                    key=("lsadv",), *, q=EXACT) -> np.ndarray:
+    """Twin of ``LevelSet.advect``:
     ``phi - dt * (velx * dphi/dx + vely * dphi/dy)`` with roll-based upwind
-    derivatives.  Returns a fresh array (it becomes ``LevelSet.phi``)."""
-    dpx = upwind_derivative(phi, velx, dx, 0, "wrap", ws=ws, key=(*key, 0))
-    dpy = upwind_derivative(phi, vely, dy, 1, "wrap", ws=ws, key=(*key, 1))
+    derivatives.  ``phi`` is lifted first (an array rounding); the
+    velocities stay raw operands exactly like the instrumented call sites
+    (``ctx.mul(velx, dpx, ...)``); ``dt`` is a per-step scalar, rounded
+    uncached.  Returns a fresh array (it becomes ``LevelSet.phi``)."""
+    key = (*q.key, *key)
+    q = q.bind(ws)
+    qphi = q.lift(phi, (*key, "qphi"))
+    dpx = upwind_derivative(qphi, velx, dx, 0, "wrap", ws=ws, key=(*key, 0), q=q)
+    dpy = upwind_derivative(qphi, vely, dy, 1, "wrap", ws=ws, key=(*key, 1), q=q)
     t1 = np.multiply(velx, dpx, out=dpx)
+    q(t1)
     t2 = np.multiply(vely, dpy, out=dpy)
+    q(t2)
     change = np.add(t1, t2, out=t1)
-    m = np.multiply(dt, change, out=change)
-    return np.subtract(phi, m)
-
-
-def levelset_advect_trunc(phi: np.ndarray, velx: np.ndarray, vely: np.ndarray, dt: float,
-                          dx: float, dy: float, ws: Optional[Workspace] = None,
-                          key=("lsadv",), *, fmt: FPFormat,
-                          rounding: str = RoundingMode.NEAREST_EVEN) -> np.ndarray:
-    """Truncating twin of ``LevelSet.advect``: phi goes through ``const``
-    (array quantisation) first; the velocities stay raw operands exactly
-    like the instrumented call sites (``ctx.mul(velx, dpx, ...)``); ``dt``
-    is a per-step scalar, quantised uncached.  Returns a fresh array."""
-    key = ("T", *key)
-    q = _Q(fmt, rounding, ws)
-    o = _o(ws)
-    shp = phi.shape
-    qphi = quantize_into(phi, fmt, rounding, ws, out=o((*key, "qphi"), shp))
-    dpx = upwind_derivative_trunc(qphi, velx, dx, 0, "wrap", ws=ws, key=(*key, 0),
-                                  fmt=fmt, rounding=rounding)
-    dpy = upwind_derivative_trunc(qphi, vely, dy, 1, "wrap", ws=ws, key=(*key, 1),
-                                  fmt=fmt, rounding=rounding)
-    t1 = np.multiply(velx, dpx, out=dpx)
-    t1 = q(t1)
-    t2 = np.multiply(vely, dpy, out=dpy)
-    t2 = q(t2)
-    change = np.add(t1, t2, out=t1)
-    change = q(change)
+    q(change)
     m = np.multiply(q.dyn(dt), change, out=change)
-    m = q(m)
-    out = np.subtract(qphi, m)
-    return quantize_into(out, fmt, rounding, ws, out=out)
+    q(m)
+    return q(np.subtract(qphi, m))

@@ -12,10 +12,10 @@ computes:
   and non-counting truncating contexts become the
   :class:`~repro.kernels.trunc.TruncFastPlaneContext`; the solvers route
   their hot paths through the pre-fused kernels of
-  :mod:`repro.kernels.fused` / :mod:`repro.kernels.flux` /
-  :mod:`repro.kernels.trunc` (scratch-buffered and block-batched); the
-  bubble solver routes its advection/diffusion/level-set operators through
-  the twins of :mod:`repro.kernels.bubble` the same way.  States
+  :mod:`repro.kernels.fused` / :mod:`repro.kernels.flux`
+  (scratch-buffered and block-batched) with the context's rounding hook;
+  the bubble solver routes its advection/diffusion/level-set operators
+  through the twins of :mod:`repro.kernels.bubble` the same way.  States
   are bit-identical (the fused planes evaluate the same ufunc expression
   trees, quantised at the same op boundaries); the trade is that
   substituted contexts no longer feed the op/mem counters.  *Counting*

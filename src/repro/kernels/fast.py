@@ -10,7 +10,9 @@ and call the pre-fused numpy kernels in :mod:`repro.kernels.fused` — or,
 for the whole compressible flux stack (EOS, wave speeds, Riemann solvers,
 block updates), the fused pipeline of :mod:`repro.kernels.flux`, which
 additionally threads preallocated scratch buffers
-(:mod:`repro.kernels.scratch`) and batches same-shaped AMR blocks.
+(:mod:`repro.kernels.scratch`) and batches same-shaped AMR blocks.  The
+kernels are shared with the truncating fast plane; this context hands
+them the identity rounding hook (:attr:`FastPlaneContext.rounder`).
 
 The contract — and the reason the plane may be substituted silently for a
 non-truncating instrumented context — is **bitwise identity**: for binary64
@@ -19,8 +21,8 @@ inputs every method returns exactly the bits the instrumented
 evaluate the same ufuncs in the same order (reductions included, which go
 through ``ufunc.reduce`` on both planes).  The plane is therefore only ever
 selected for contexts that neither truncate nor record (see
-:mod:`repro.kernels.dispatch`); truncating and shadow contexts *are* the
-measurement and always stay on the instrumented plane.
+:mod:`repro.kernels.dispatch`); counting truncating and shadow contexts
+*are* the measurement and always stay on the instrumented plane.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ import numpy as np
 
 from ..core.opmode import FullPrecisionContext
 from ..core.runtime import RaptorRuntime
+from .trunc import EXACT
 
 __all__ = ["FastPlaneContext"]
 
@@ -47,6 +50,8 @@ class FastPlaneContext(FullPrecisionContext):
     name = "fp64-fast"
     plane = "fast"
     fused = True
+    #: the identity rounding hook of the fused kernels
+    rounder = EXACT
 
     def __init__(
         self,

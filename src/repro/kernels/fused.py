@@ -1,11 +1,18 @@
-"""Pre-fused numpy kernels for the fast plane.
+"""Pre-fused numpy kernels for the fast planes.
 
 These are the hot reconstruction stencils of :mod:`repro.hydro.reconstruction`
 (and the WENO5 advection operators of :mod:`repro.incomp.solver`) written as
 straight-line numpy, with no context dispatch at all.  They exist purely for
 speed: each function evaluates **exactly the same ufuncs on the same
-operands** as its context-based twin, so on binary64 data the results are
-bit-identical — the property the kernel-plane equivalence tests pin down.
+operands** as its context-based twin, so the results are bit-identical —
+the property the kernel-plane equivalence tests pin down.
+
+Each kernel is written once for both fast planes.  The keyword-only rounding
+hook ``q`` (see :mod:`repro.kernels.trunc`) is called after every
+arithmetic op and on every constant: the default exact hook is the identity
+(binary64 fast plane), a :class:`~repro.kernels.trunc.Rounder` quantises at
+exactly the op boundaries an optimized truncating context rounds at (fused
+truncating plane).
 
 Every stencil accepts an optional :class:`~repro.kernels.scratch.Workspace`
 (``ws=``) plus a ``key`` identifying the call site; when given, all
@@ -16,11 +23,12 @@ arrays, so results are bit-identical with or without a workspace.  Callers
 that keep both returned arrays of several stencil invocations alive at once
 must hand each invocation a distinct ``key``.
 
-Consumers select them via the :attr:`~repro.kernels.fast.FastPlaneContext.fused`
-flag on the active context; instrumented contexts keep the op-by-op path
-(they must, since every operation feeds the counters / truncation).
-The full Riemann/EOS flux pipeline built on top of these stencils lives in
-:mod:`repro.kernels.flux`.
+Consumers select them via the ``fused`` flag on the active context
+(:class:`~repro.kernels.fast.FastPlaneContext`,
+:class:`~repro.kernels.trunc.TruncFastPlaneContext`) and pass
+``q=ctx.rounder``; instrumented contexts keep the op-by-op path (they must,
+since every operation feeds the counters).  The full Riemann/EOS flux
+pipeline built on top of these stencils lives in :mod:`repro.kernels.flux`.
 """
 from __future__ import annotations
 
@@ -29,6 +37,7 @@ from typing import Tuple
 import numpy as np
 
 from .scratch import out_accessor as _o
+from .trunc import EXACT
 
 __all__ = ["FUSED_SCHEMES", "pcm", "plm", "weno5", "weno5_edge", "where"]
 
@@ -69,21 +78,26 @@ def _shift(u: np.ndarray, axis: int, offset: int, ng: int, n: int) -> np.ndarray
     return u[..., :, start:stop]
 
 
-def pcm(u: np.ndarray, axis: int, ng: int, n: int, ws=None, key=()) -> Tuple[np.ndarray, np.ndarray]:
-    """Piecewise-constant reconstruction (pure data movement; the returned
-    arrays are views of ``u``, so no scratch is ever needed)."""
+def pcm(u: np.ndarray, axis: int, ng: int, n: int, ws=None, key=(), *,
+        q=EXACT) -> Tuple[np.ndarray, np.ndarray]:
+    """Piecewise-constant reconstruction (pure data movement: no FLOPs, so
+    the hook never fires; the returned arrays are views of ``u``, so no
+    scratch is ever needed)."""
     return _shift(u, axis, 0, ng, n), _shift(u, axis, 1, ng, n)
 
 
-def _minmod(a: np.ndarray, b: np.ndarray, ws=None, key=()) -> np.ndarray:
+def _minmod(a: np.ndarray, b: np.ndarray, ws=None, key=(), q=EXACT) -> np.ndarray:
     """minmod(a, b), fused: 0 where signs differ, else the smaller magnitude.
 
-    The returned array never aliases ``a`` or ``b``.
+    The sign test uses the *rounded* product, exactly like the instrumented
+    limiter.  The returned array never aliases ``a`` or ``b``.
     """
     o = _o(ws)
     shp = a.shape
     ab = np.multiply(a, b, out=o((*key, "ab"), shp))
+    q(ab)
     same_sign = np.greater(ab, 0.0, out=o((*key, "ss"), shp, bool))
+    # |a| < |b| on the raw operands: abs is quantise-closed
     absa = np.abs(a, out=o((*key, "absa"), shp))
     absb = np.abs(b, out=o((*key, "absb"), shp))
     lt = np.less(absa, absb, out=o((*key, "lt"), shp, bool))
@@ -94,9 +108,11 @@ def _minmod(a: np.ndarray, b: np.ndarray, ws=None, key=()) -> np.ndarray:
     return mag
 
 
-def plm(u: np.ndarray, axis: int, ng: int, n: int, ws=None, key=()) -> Tuple[np.ndarray, np.ndarray]:
+def plm(u: np.ndarray, axis: int, ng: int, n: int, ws=None, key=(), *,
+        q=EXACT) -> Tuple[np.ndarray, np.ndarray]:
     """Piecewise-linear (minmod-limited) reconstruction, fused."""
     o = _o(ws)
+    q = q.bind(ws)
     um1 = _shift(u, axis, -1, ng, n)
     uc = _shift(u, axis, 0, ng, n)
     up1 = _shift(u, axis, 1, ng, n)
@@ -104,21 +120,30 @@ def plm(u: np.ndarray, axis: int, ng: int, n: int, ws=None, key=()) -> Tuple[np.
     shp = uc.shape
 
     dl = np.subtract(uc, um1, out=o((*key, "dl"), shp))
+    q(dl)
     dr = np.subtract(up1, uc, out=o((*key, "dr"), shp))
-    slope_left = _minmod(dl, dr, ws, (*key, "ml"))
+    q(dr)
+    slope_left = _minmod(dl, dr, ws, (*key, "ml"), q)
 
     dl2 = np.subtract(up1, uc, out=dl)
+    q(dl2)
     dr2 = np.subtract(up2, up1, out=dr)
-    slope_right = _minmod(dl2, dr2, ws, (*key, "mr"))
+    q(dr2)
+    slope_right = _minmod(dl2, dr2, ws, (*key, "mr"), q)
 
-    np.multiply(0.5, slope_left, out=slope_left)
+    half = q.const(0.5)
+    np.multiply(half, slope_left, out=slope_left)
+    q(slope_left)
     left = np.add(uc, slope_left, out=o((*key, "left"), shp))
-    np.multiply(0.5, slope_right, out=slope_right)
+    q(left)
+    np.multiply(half, slope_right, out=slope_right)
+    q(slope_right)
     right = np.subtract(up1, slope_right, out=o((*key, "right"), shp))
+    q(right)
     return left, right
 
 
-def weno5_edge(um2, um1, u0, up1, up2, ws=None, key=(), out=None) -> np.ndarray:
+def weno5_edge(um2, um1, u0, up1, up2, ws=None, key=(), out=None, *, q=EXACT) -> np.ndarray:
     """Jiang–Shu WENO5 right-edge value of cell 0, fused.
 
     The association of every sum/product mirrors
@@ -129,90 +154,162 @@ def weno5_edge(um2, um1, u0, up1, up2, ws=None, key=(), out=None) -> np.ndarray:
     this ``key``.
     """
     o = _o(ws)
+    q = q.bind(ws)
     shp = np.shape(u0)
+    sixth = q.const(1.0 / 6.0)
+    eps = q.const(_WENO_EPS)
 
     # candidate polynomials
-    q0 = np.multiply(2.0, um2, out=o((*key, "q0"), shp))
-    t = np.multiply(7.0, um1, out=o((*key, "t"), shp))
+    q0 = np.multiply(q.const(2.0), um2, out=o((*key, "q0"), shp))
+    q(q0)
+    t = np.multiply(q.const(7.0), um1, out=o((*key, "t"), shp))
+    q(t)
     np.subtract(q0, t, out=q0)
-    t = np.multiply(11.0, u0, out=t)
+    q(q0)
+    t = np.multiply(q.const(11.0), u0, out=t)
+    q(t)
     np.add(q0, t, out=q0)
-    np.multiply(1.0 / 6.0, q0, out=q0)
+    q(q0)
+    np.multiply(sixth, q0, out=q0)
+    q(q0)
 
-    q1 = np.multiply(5.0, u0, out=o((*key, "q1"), shp))
+    q1 = np.multiply(q.const(5.0), u0, out=o((*key, "q1"), shp))
+    q(q1)
     np.subtract(q1, um1, out=q1)
-    t = np.multiply(2.0, up1, out=t)
+    q(q1)
+    t = np.multiply(q.const(2.0), up1, out=t)
+    q(t)
     np.add(q1, t, out=q1)
-    np.multiply(1.0 / 6.0, q1, out=q1)
+    q(q1)
+    np.multiply(sixth, q1, out=q1)
+    q(q1)
 
-    q2 = np.multiply(2.0, u0, out=o((*key, "q2"), shp))
-    t = np.multiply(5.0, up1, out=t)
+    q2 = np.multiply(q.const(2.0), u0, out=o((*key, "q2"), shp))
+    q(q2)
+    t = np.multiply(q.const(5.0), up1, out=t)
+    q(t)
     np.add(q2, t, out=q2)
+    q(q2)
     np.subtract(q2, up2, out=q2)
-    np.multiply(1.0 / 6.0, q2, out=q2)
+    q(q2)
+    np.multiply(sixth, q2, out=q2)
+    q(q2)
 
     # smoothness indicators: beta_k = 13/12 d1^2 + 1/4 d2^2
+    c1312 = q.const(13.0 / 12.0)
+    quarter = q.const(0.25)
     t2 = o((*key, "t2"), shp)
-    d1 = np.multiply(2.0, um1, out=t)
+    d1 = np.multiply(q.const(2.0), um1, out=t)
+    q(d1)
     d1 = np.subtract(um2, d1, out=d1)
+    q(d1)
     d1 = np.add(d1, u0, out=d1)
+    q(d1)
     beta0 = np.multiply(d1, d1, out=o((*key, "b0"), shp))
-    np.multiply(13.0 / 12.0, beta0, out=beta0)
-    d2 = np.multiply(4.0, um1, out=t)
+    q(beta0)
+    np.multiply(c1312, beta0, out=beta0)
+    q(beta0)
+    d2 = np.multiply(q.const(4.0), um1, out=t)
+    q(d2)
     d2 = np.subtract(um2, d2, out=d2)
-    u3 = np.multiply(3.0, u0, out=t2)
+    q(d2)
+    u3 = np.multiply(q.const(3.0), u0, out=t2)
+    q(u3)
     d2 = np.add(d2, u3, out=d2)
+    q(d2)
     sq = np.multiply(d2, d2, out=d2)
-    np.multiply(0.25, sq, out=sq)
+    q(sq)
+    np.multiply(quarter, sq, out=sq)
+    q(sq)
     np.add(beta0, sq, out=beta0)
+    q(beta0)
 
-    d1 = np.multiply(2.0, u0, out=t)
+    d1 = np.multiply(q.const(2.0), u0, out=t)
+    q(d1)
     d1 = np.subtract(um1, d1, out=d1)
+    q(d1)
     d1 = np.add(d1, up1, out=d1)
+    q(d1)
     beta1 = np.multiply(d1, d1, out=o((*key, "b1"), shp))
-    np.multiply(13.0 / 12.0, beta1, out=beta1)
+    q(beta1)
+    np.multiply(c1312, beta1, out=beta1)
+    q(beta1)
     d2 = np.subtract(um1, up1, out=t)
+    q(d2)
     sq = np.multiply(d2, d2, out=d2)
-    np.multiply(0.25, sq, out=sq)
+    q(sq)
+    np.multiply(quarter, sq, out=sq)
+    q(sq)
     np.add(beta1, sq, out=beta1)
+    q(beta1)
 
-    d1 = np.multiply(2.0, up1, out=t)
+    d1 = np.multiply(q.const(2.0), up1, out=t)
+    q(d1)
     d1 = np.subtract(u0, d1, out=d1)
+    q(d1)
     d1 = np.add(d1, up2, out=d1)
+    q(d1)
     beta2 = np.multiply(d1, d1, out=o((*key, "b2"), shp))
-    np.multiply(13.0 / 12.0, beta2, out=beta2)
-    a3 = np.multiply(3.0, u0, out=t)
-    b4 = np.multiply(4.0, up1, out=t2)
+    q(beta2)
+    np.multiply(c1312, beta2, out=beta2)
+    q(beta2)
+    a3 = np.multiply(q.const(3.0), u0, out=t)
+    q(a3)
+    b4 = np.multiply(q.const(4.0), up1, out=t2)
+    q(b4)
     d2 = np.subtract(a3, b4, out=a3)
+    q(d2)
     d2 = np.add(d2, up2, out=d2)
+    q(d2)
     sq = np.multiply(d2, d2, out=d2)
-    np.multiply(0.25, sq, out=sq)
+    q(sq)
+    np.multiply(quarter, sq, out=sq)
+    q(sq)
     np.add(beta2, sq, out=beta2)
+    q(beta2)
 
     # nonlinear weights: w_k = c_k / (eps + beta_k)^2
-    np.add(_WENO_EPS, beta0, out=beta0)
+    np.add(eps, beta0, out=beta0)
+    q(beta0)
     np.square(beta0, out=beta0)
-    w0 = np.divide(0.1, beta0, out=beta0)
-    np.add(_WENO_EPS, beta1, out=beta1)
+    q(beta0)
+    w0 = np.divide(q.const(0.1), beta0, out=beta0)
+    q(w0)
+    np.add(eps, beta1, out=beta1)
+    q(beta1)
     np.square(beta1, out=beta1)
-    w1 = np.divide(0.6, beta1, out=beta1)
-    np.add(_WENO_EPS, beta2, out=beta2)
+    q(beta1)
+    w1 = np.divide(q.const(0.6), beta1, out=beta1)
+    q(w1)
+    np.add(eps, beta2, out=beta2)
+    q(beta2)
     np.square(beta2, out=beta2)
-    w2 = np.divide(0.3, beta2, out=beta2)
+    q(beta2)
+    w2 = np.divide(q.const(0.3), beta2, out=beta2)
+    q(w2)
 
     wsum = np.add(w0, w1, out=t)
+    q(wsum)
     np.add(wsum, w2, out=wsum)
+    q(wsum)
     num = np.multiply(w0, q0, out=q0)
+    q(num)
     t2 = np.multiply(w1, q1, out=q1)
+    q(t2)
     np.add(num, t2, out=num)
+    q(num)
     t2 = np.multiply(w2, q2, out=q2)
+    q(t2)
     np.add(num, t2, out=num)
+    q(num)
     if out is None:
         out = o((*key, "res"), shp)
-    return np.divide(num, wsum, out=out)
+    out = np.divide(num, wsum, out=out)
+    return q(out)
 
 
-def weno5(u: np.ndarray, axis: int, ng: int, n: int, ws=None, key=()) -> Tuple[np.ndarray, np.ndarray]:
+def weno5(u: np.ndarray, axis: int, ng: int, n: int, ws=None, key=(), *,
+          q=EXACT) -> Tuple[np.ndarray, np.ndarray]:
     """Fifth-order WENO reconstruction at the interior faces, fused."""
     um2 = _shift(u, axis, -2, ng, n)
     um1 = _shift(u, axis, -1, ng, n)
@@ -221,8 +318,8 @@ def weno5(u: np.ndarray, axis: int, ng: int, n: int, ws=None, key=()) -> Tuple[n
     up2 = _shift(u, axis, 2, ng, n)
     up3 = _shift(u, axis, 3, ng, n)
 
-    left = weno5_edge(um2, um1, uc, up1, up2, ws, (*key, "L"))
-    right = weno5_edge(up3, up2, up1, uc, um1, ws, (*key, "R"))
+    left = weno5_edge(um2, um1, uc, up1, up2, ws, (*key, "L"), q=q)
+    right = weno5_edge(up3, up2, up1, uc, um1, ws, (*key, "R"), q=q)
     return left, right
 
 

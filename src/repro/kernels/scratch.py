@@ -1,7 +1,9 @@
-"""Preallocated scratch workspaces for the fused fast plane.
+"""Preallocated scratch workspaces for the fused fast planes.
 
 The fused kernels of :mod:`repro.kernels.fused` and
-:mod:`repro.kernels.flux` are straight-line numpy; without help every call
+:mod:`repro.kernels.flux` — shared by the binary64 and the truncating fast
+plane, whose rounding hook quantises in place through the same workspace —
+are straight-line numpy; without help every call
 allocates a fresh temporary per ufunc, and on sweep-scale 8x8 AMR blocks
 that allocation churn is a measurable fraction of the hot loop.  A
 :class:`Workspace` removes it: kernels request named output buffers via

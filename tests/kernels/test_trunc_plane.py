@@ -1,4 +1,5 @@
-"""Bit-identity tests for the fused truncating plane (repro.kernels.trunc).
+"""Bit-identity tests for the fused truncating plane: the fused kernels run
+with the truncating rounding hook of repro.kernels.trunc.
 
 The load-bearing contracts:
 
@@ -6,10 +7,11 @@ The load-bearing contracts:
   :func:`repro.core.quantize.quantize` — workspace or not, in place or
   not — including signed zeros, non-finite lanes, subnormals and the
   directed-rounding overflow clamps;
-* every fused truncating kernel (stencils, EOS helpers, wave speeds,
-  Riemann solvers) reproduces the optimized instrumented
-  :class:`TruncatedContext` stream bit for bit on representable inputs,
-  because it quantises at exactly the same op boundaries;
+* every fused kernel (stencils, EOS helpers, wave speeds, Riemann
+  solvers) run with a :class:`Rounder` reproduces the optimized
+  instrumented :class:`TruncatedContext` stream bit for bit on
+  representable inputs, because it quantises at exactly the same op
+  boundaries; the exact hook hands back its inputs untouched;
 * plane selection routes *non-counting* truncating contexts onto
   :class:`TruncFastPlaneContext` under both ``"fast"`` and ``"auto"`` and
   never substitutes a counting, naive, error-tracking or shadow context;
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     BF16,
+    AMRCutoffPolicy,
     FPFormat,
     FullPrecisionContext,
     GlobalPolicy,
@@ -41,12 +44,13 @@ from repro.hydro.solver import HydroSolver
 from repro.kernels import (
     FastPlaneContext,
     TruncFastPlaneContext,
+    flux,
+    fused,
     is_trunc_fast_eligible,
     select_context,
-    trunc,
 )
 from repro.kernels.scratch import Workspace
-from repro.kernels.trunc import quantize_into
+from repro.kernels.trunc import EXACT, Rounder, quantize_into
 
 GAMMA = 1.4
 COMPONENTS = ("dens", "momn", "momt", "ener")
@@ -169,7 +173,9 @@ class TestQuantizeInto:
 class TestTruncFastPlaneContext:
     def test_flags_and_describe(self):
         ctx = _fast(rounding=RoundingMode.UP)
-        assert ctx.plane == "fast" and ctx.fused_trunc and not ctx.fused
+        assert ctx.plane == "fast" and ctx.fused
+        assert isinstance(ctx.rounder, Rounder)
+        assert ctx.rounder.fmt is ctx.fmt and ctx.rounder.rounding == RoundingMode.UP
         assert ctx.truncating and ctx.optimized
         assert not (ctx.count_ops or ctx.track_memory or ctx.track_errors)
         assert "e8m10" in ctx.describe()
@@ -212,6 +218,43 @@ class TestTruncFastPlaneContext:
             np.testing.assert_array_equal(
                 getattr(fast, op)(*args), getattr(slow, op)(*args), err_msg=op
             )
+
+
+class TestRoundingHooks:
+    def test_exact_rounder_returns_its_inputs(self):
+        arr = np.array([np.pi, -0.0, np.nan, np.inf, 5e-324])
+        snap = arr.copy()
+        assert EXACT(arr) is arr
+        assert EXACT.lift(arr, ("lift", "dens")) is arr
+        assert EXACT.bind(Workspace()) is EXACT and EXACT.key == ()
+        np.testing.assert_array_equal(arr.view(np.uint64), snap.view(np.uint64))
+        for x in (1.0 / 3.0, -0.0, 5e-324, 1e308, np.inf):
+            for hook in (EXACT.const, EXACT.dyn):
+                got = hook(x)
+                assert got is x
+                assert np.float64(got).view(np.uint64) == np.float64(x).view(np.uint64)
+        # the lift touches no scratch buffer
+        ws = Workspace()
+        EXACT.bind(ws).lift(np.ones((4, 4)), ("lift", "dens"))
+        assert ws.misses == 0 and ws.n_buffers == 0
+
+    def test_fast_plane_contexts_carry_their_hooks(self):
+        assert FastPlaneContext().rounder is EXACT
+        ctx = _fast(BF16, RoundingMode.DOWN)
+        assert ctx.rounder.sig == ("trunc", 8, 7, RoundingMode.DOWN)
+        assert ctx.rounder.key == ("T",) and EXACT.sig == ("b64",)
+
+    def test_rounder_bind_and_lift(self):
+        ws = Workspace()
+        q = Rounder(BF16, RoundingMode.TOWARD_ZERO)
+        bound = q.bind(ws)
+        assert bound.ws is ws and bound.bind(ws) is bound and q.ws is None
+        arr = np.linspace(-1.0, 1.0, 7)
+        lifted = bound.lift(arr, ("lift", "x"))
+        assert lifted is not arr
+        np.testing.assert_array_equal(lifted, quantize(arr, BF16, RoundingMode.TOWARD_ZERO))
+        assert bound.const(0.1) == bound.dyn(0.1) == float(
+            quantize(0.1, BF16, RoundingMode.TOWARD_ZERO))
 
 
 class TestTruncPlaneSelection:
@@ -310,7 +353,7 @@ def trunc_face_states(draw):
 
 
 class TestTruncKernelTwins:
-    @pytest.mark.parametrize("scheme", sorted(trunc.TRUNC_SCHEMES))
+    @pytest.mark.parametrize("scheme", sorted(fused.FUSED_SCHEMES))
     @given(
         u=st.lists(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
                    min_size=14, max_size=18).map(np.asarray),
@@ -327,13 +370,13 @@ class TestTruncKernelTwins:
             nn = field.shape[axis] - 2 * ng - 1
             left_s, right_s = SCHEMES[scheme](field, axis, ng, nn, slow)
             for ws in (None, Workspace()):
-                left_f, right_f = trunc.TRUNC_SCHEMES[scheme](
-                    field, axis, ng, nn, ws=ws, key=("t",), fmt=fmt, rounding=rounding
+                left_f, right_f = fused.FUSED_SCHEMES[scheme](
+                    field, axis, ng, nn, ws=ws, key=("t",), q=Rounder(fmt, rounding)
                 )
                 np.testing.assert_array_equal(left_f, left_s)
                 np.testing.assert_array_equal(right_f, right_s)
 
-    @pytest.mark.parametrize("scheme", sorted(trunc.TRUNC_SCHEMES))
+    @pytest.mark.parametrize("scheme", sorted(fused.FUSED_SCHEMES))
     @pytest.mark.parametrize("rounding", ROUNDINGS)
     def test_reconstruct_dispatches_on_the_trunc_plane(self, scheme, rounding):
         rng = np.random.default_rng(42)
@@ -355,7 +398,7 @@ class TestTruncKernelTwins:
         slow = _instrumented(fmt, rounding)
         expected = _weno5_edge(*rows, slow)
         for ws in (None, Workspace()):
-            got = trunc.weno5_edge(*rows, ws=ws, key=("e",), fmt=fmt, rounding=rounding)
+            got = fused.weno5_edge(*rows, ws=ws, key=("e",), q=Rounder(fmt, rounding))
             np.testing.assert_array_equal(got, expected)
 
     @given(state=trunc_face_states())
@@ -365,28 +408,28 @@ class TestTruncKernelTwins:
         dens, velx, vely, pres = (left[k] for k in ("dens", "velx", "vely", "pres"))
         eos = GammaLawEOS(gamma=GAMMA)
         slow = _instrumented(fmt, rounding)
-        kw = dict(fmt=fmt, rounding=rounding)
+        kw = dict(q=Rounder(fmt, rounding))
         np.testing.assert_array_equal(
-            trunc.eos_sound_speed(dens, pres, GAMMA, **kw),
+            flux.eos_sound_speed(dens, pres, GAMMA, **kw),
             eos.sound_speed(dens, pres, slow),
         )
         np.testing.assert_array_equal(
-            trunc.eos_internal_energy(dens, pres, GAMMA, **kw),
+            flux.eos_internal_energy(dens, pres, GAMMA, **kw),
             eos.internal_energy_from_pressure(dens, pres, slow),
         )
         np.testing.assert_array_equal(
-            trunc.eos_pressure_from_internal_energy(
+            flux.eos_pressure_from_internal_energy(
                 dens, pres, GAMMA, eos.pressure_floor, **kw),
             eos.pressure_from_internal_energy(dens, pres, slow),
         )
         ener_slow = eos.total_energy(dens, velx, vely, pres, slow)
         np.testing.assert_array_equal(
-            trunc.eos_total_energy(dens, velx, vely, pres, GAMMA, **kw), ener_slow
+            flux.eos_total_energy(dens, velx, vely, pres, GAMMA, **kw), ener_slow
         )
         momx = np.asarray(quantize(dens * velx, fmt, rounding))
         momy = np.asarray(quantize(dens * vely, fmt, rounding))
         np.testing.assert_array_equal(
-            trunc.eos_pressure_from_total_energy(
+            flux.eos_pressure_from_total_energy(
                 dens, momx, momy, ener_slow, GAMMA,
                 eos.pressure_floor, eos.density_floor, **kw),
             eos.pressure_from_total_energy(dens, momx, momy, ener_slow, slow),
@@ -420,11 +463,11 @@ class TestTruncKernelTwins:
         eos = GammaLawEOS(gamma=GAMMA)
         slow = _instrumented(fmt, rounding)
         sl_s, sr_s = _wave_speeds(left, right, eos, slow)
-        sl_f, sr_f = trunc.davis_wave_speeds(left, right, GAMMA, fmt=fmt, rounding=rounding)
+        sl_f, sr_f = flux.davis_wave_speeds(left, right, GAMMA, q=Rounder(fmt, rounding))
         np.testing.assert_array_equal(sl_f, sl_s)
         np.testing.assert_array_equal(sr_f, sr_s)
         el_s, er_s = _einfeldt_wave_speeds(left, right, eos, slow)
-        el_f, er_f = trunc.einfeldt_wave_speeds(left, right, GAMMA, fmt=fmt, rounding=rounding)
+        el_f, er_f = flux.einfeldt_wave_speeds(left, right, GAMMA, q=Rounder(fmt, rounding))
         np.testing.assert_array_equal(el_f, el_s)
         np.testing.assert_array_equal(er_f, er_s)
 
@@ -436,8 +479,8 @@ class TestTruncKernelTwins:
         eos = GammaLawEOS(gamma=GAMMA)
         expected = SOLVERS[name](left, right, eos, _instrumented(fmt, rounding))
         for ws in (None, Workspace()):
-            got = trunc.TRUNC_SOLVERS[name](
-                left, right, GAMMA, ws=ws, fmt=fmt, rounding=rounding
+            got = flux.FUSED_SOLVERS[name](
+                left, right, GAMMA, ws=ws, q=Rounder(fmt, rounding)
             )
             for comp in COMPONENTS:
                 np.testing.assert_array_equal(got[comp], expected[comp],
@@ -480,12 +523,12 @@ class TestTruncScratchLifecycle:
     def test_workspace_reuse_allocates_nothing_after_first_call(self):
         left, right = _q_states(seed=5, n=32)
         ws = Workspace()
-        kw = dict(fmt=E8M10, rounding=RoundingMode.NEAREST_EVEN)
-        first = trunc.hllc_flux(left, right, GAMMA, ws=ws, **kw)
+        kw = dict(q=Rounder(E8M10, RoundingMode.NEAREST_EVEN))
+        first = flux.hllc_flux(left, right, GAMMA, ws=ws, **kw)
         first = {c: first[c].copy() for c in first}
         misses = ws.misses
         assert misses > 0
-        again = trunc.hllc_flux(left, right, GAMMA, ws=ws, **kw)
+        again = flux.hllc_flux(left, right, GAMMA, ws=ws, **kw)
         assert ws.misses == misses  # steady state: zero allocations
         assert ws.hits > 0
         for comp in COMPONENTS:
@@ -494,12 +537,12 @@ class TestTruncScratchLifecycle:
     def test_poisoned_workspace_does_not_leak_into_results(self):
         left, right = _q_states(seed=9)
         ws = Workspace()
-        kw = dict(fmt=E8M10, rounding=RoundingMode.UP)
-        clean = trunc.hll_flux(left, right, GAMMA, ws=ws, **kw)
+        kw = dict(q=Rounder(E8M10, RoundingMode.UP))
+        clean = flux.hll_flux(left, right, GAMMA, ws=ws, **kw)
         clean = {c: clean[c].copy() for c in clean}
         for buf in ws._buffers.values():
             buf.fill(np.nan if buf.dtype == np.float64 else True)
-        poisoned = trunc.hll_flux(left, right, GAMMA, ws=ws, **kw)
+        poisoned = flux.hll_flux(left, right, GAMMA, ws=ws, **kw)
         for comp in COMPONENTS:
             np.testing.assert_array_equal(poisoned[comp], clean[comp])
 
@@ -507,9 +550,9 @@ class TestTruncScratchLifecycle:
         left, right = _q_states(seed=13, n=24)
         snap = {("L", k): v.copy() for k, v in left.items()}
         snap.update({("R", k): v.copy() for k, v in right.items()})
-        for name in trunc.TRUNC_SOLVERS:
-            trunc.TRUNC_SOLVERS[name](left, right, GAMMA, ws=Workspace(),
-                                      fmt=E8M10, rounding=RoundingMode.DOWN)
+        for name in flux.FUSED_SOLVERS:
+            flux.FUSED_SOLVERS[name](left, right, GAMMA, ws=Workspace(),
+                                      q=Rounder(E8M10, RoundingMode.DOWN))
         for k, v in left.items():
             np.testing.assert_array_equal(v, snap[("L", k)])
         for k, v in right.items():
@@ -517,11 +560,11 @@ class TestTruncScratchLifecycle:
 
     def test_weno5_edge_out_may_alias_an_input(self):
         rng = np.random.default_rng(21)
-        kw = dict(fmt=E8M10, rounding=RoundingMode.NEAREST_EVEN)
+        kw = dict(q=Rounder(E8M10, RoundingMode.NEAREST_EVEN))
         rows = [np.asarray(quantize(rng.normal(size=32) + 2.0, E8M10)) for _ in range(5)]
-        expected = trunc.weno5_edge(*rows, **kw)
+        expected = fused.weno5_edge(*rows, **kw)
         aliased = rows[2].copy()
-        got = trunc.weno5_edge(rows[0], rows[1], aliased, rows[3], rows[4],
+        got = fused.weno5_edge(rows[0], rows[1], aliased, rows[3], rows[4],
                                ws=Workspace(), key=("alias",), out=aliased, **kw)
         assert got is aliased
         np.testing.assert_array_equal(got, expected)
@@ -570,23 +613,56 @@ class TestTruncAdvance:
         for name in slow:
             np.testing.assert_array_equal(fast[name], slow[name], err_msg=name)
 
-    def test_substep_batched_vs_unbatched_vs_instrumented(self):
+    @pytest.mark.parametrize("policy", ["global", "m-1"])
+    def test_substep_batched_vs_unbatched_vs_instrumented(self, policy, monkeypatch):
+        """Under M-1 the finest level runs binary64 and the coarser ones
+        truncate, so one batched substep holds a binary64 and a truncating
+        fast group sharing ``flux.advance`` and one workspace."""
+
+        def provider(plane):
+            if policy == "global":
+                ctx = _instrumented() if plane == "instrumented" else _fast()
+                return lambda module, level=None, max_level=None: ctx
+            counting = plane == "instrumented"
+            config = TruncationConfig(targets={64: E8M10}, count_ops=counting,
+                                      track_memory=counting)
+            pol = AMRCutoffPolicy(config, cutoff=1, runtime=RaptorRuntime(), plane=plane)
+            return lambda module, level=None, max_level=None: pol.context_for(
+                module=module, level=level, max_level=max_level)
+
         results = {}
-        for label, batch, scratch, ctx in (
-            ("instrumented", False, False, _instrumented()),
-            ("trunc-perblock", False, False, _fast()),
-            ("trunc-noscratch", True, False, _fast()),
-            ("trunc-batched", True, True, _fast()),
+        groups = []
+        for label, batch, scratch, plane in (
+            ("instrumented", False, False, "instrumented"),
+            ("trunc-perblock", False, False, "auto"),
+            ("trunc-no-batch-env", None, True, "auto"),
+            ("trunc-noscratch", True, False, "auto"),
+            ("trunc-batched", True, True, "auto"),
         ):
             workload = _sod_workload(max_level=3)
             grid = workload.build_grid()
-            solver = HydroSolver(rk_stages=1, batch_blocks=batch, scratch=scratch)
-            solver._substep(grid, 5e-4, lambda module, level=None, max_level=None: ctx)
+            with monkeypatch.context() as env:
+                if batch is None:
+                    env.setenv("RAPTOR_FAST_NO_BATCH", "1")
+                solver = HydroSolver(rk_stages=1, batch_blocks=batch, scratch=scratch)
+            if batch is None:
+                assert not solver.batch_blocks
+            if label == "trunc-batched":
+                batched = solver._advance_level_batched
+
+                def spy(grid, group, dt, ctx):
+                    groups.append(ctx.rounder.sig)
+                    return batched(grid, group, dt, ctx=ctx)
+
+                solver._advance_level_batched = spy
+            solver._substep(grid, 5e-4, provider(plane))
             results[label] = {
                 key: {v: grid.leaves[key].interior_view(v).copy()
                       for v in ("dens", "velx", "vely", "pres")}
                 for key in grid.sorted_keys()
             }
+        kinds = {sig[0] for sig in groups}
+        assert kinds == ({"trunc"} if policy == "global" else {"b64", "trunc"})
         base = results["instrumented"]
         for label, states in results.items():
             assert set(states) == set(base), label
@@ -625,12 +701,14 @@ class TestTruncAdvance:
                 states["batched"][key], states["perblock"][key], err_msg=str(key)
             )
 
-    def test_workspace_steady_state_no_allocations(self):
+    @pytest.mark.parametrize("make_ctx", [_fast, FastPlaneContext],
+                             ids=["rounder", "exact"])
+    def test_workspace_steady_state_no_allocations(self, make_ctx):
         workload = _sod_workload()
         grid = workload.build_grid()
         solver = workload.build_solver()
         assert solver._workspace is not None
-        ctx = _fast()
+        ctx = make_ctx()
         provider = lambda module, level=None, max_level=None: ctx
         solver._substep(grid, 1e-4, provider)
         misses = solver._workspace.misses

@@ -11,8 +11,9 @@ scratch workspaces and batched block stepping, which this script insists
 are enabled — and diffs it against the instrumented plane the same way.
 A third pass repeats both golden configurations as *truncated* (e8m10,
 non-counting) runs: the instrumented op-by-op ``TruncatedContext`` path
-vs the fused truncating plane (``repro.kernels.trunc``), which quantizes
-at the same op boundaries and must match bitwise too.  A fourth pass
+vs the fused truncating plane (the fused kernels run with the
+``repro.kernels.trunc.Rounder`` hook), which quantizes at the same op
+boundaries and must match bitwise too.  A fourth pass
 drives a regrid-heavy Kelvin–Helmholtz configuration (``max_level=3``,
 regrid every step, so guard-fill plans are rebuilt constantly and
 coarse/fine strips stay hot) through the fused *grid* plane — batched
