@@ -45,14 +45,14 @@ class TruncationPolicy:
 
     ``plane`` selects the kernel plane of the contexts the policy hands
     out (see :mod:`repro.kernels`): ``"auto"`` (default) substitutes the
-    fused planes only where nothing would be recorded anyway — binary64
-    contexts onto the binary64 fast plane, *non-counting* truncating
-    op-mode contexts onto the fused truncating plane — ``"fast"``
+    fused planes only where the counters come out unchanged — non-counting
+    binary64 contexts onto the binary64 fast plane, optimized truncating
+    op-mode contexts (counting or not; counted hydro blocks charge the
+    instrumented tally) onto the fused truncating plane — ``"fast"``
     additionally substitutes every full-precision context (states
     bit-identical, counters for those contexts dropped, with a warning),
-    ``"instrumented"`` never substitutes.  Counting truncating contexts
-    and shadow contexts always stay instrumented — they are the
-    measurement.
+    ``"instrumented"`` never substitutes.  Error-tracking, naive and
+    shadow contexts always stay instrumented — they are the measurement.
     """
 
     def __init__(

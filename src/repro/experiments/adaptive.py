@@ -469,11 +469,12 @@ class AdaptiveSpec:
     #: kernel plane of non-truncating contexts (references + untruncated
     #: probe modules); same semantics as :attr:`SweepSpec.plane`
     plane: str = "auto"
-    #: record op/mem counters in the probes (default).  ``False`` builds
-    #: non-counting probe policies, routing truncated probe contexts onto
-    #: the fused truncating plane under ``plane="fast"|"auto"`` —
-    #: bit-identical pass/fail decisions, much faster bisections, but
-    #: ``truncated_fraction`` reads zero in the evaluations.
+    #: record op/mem counters in the probes (default; counted hydro probes
+    #: run fused with exact counters).  ``False`` builds non-counting probe
+    #: policies, which also fuses the bubble and cellular probes under
+    #: ``plane="fast"|"auto"`` — bit-identical pass/fail decisions, much
+    #: faster bisections, but ``truncated_fraction`` reads zero in the
+    #: evaluations.
     count_probe_ops: bool = True
     backend: str = "serial"
     max_workers: Optional[int] = None

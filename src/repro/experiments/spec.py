@@ -239,12 +239,13 @@ class PolicySpec:
         """Materialise the policy for one sweep point.
 
         ``plane`` selects the kernel plane of the policy's contexts (see
-        :mod:`repro.kernels`).  With the default ``count_ops=True``,
-        truncated contexts record op counts and therefore always stay
-        instrumented; ``count_ops=False`` builds non-counting contexts
-        throughout, which makes the policy's truncated contexts eligible
-        for the fused truncating plane under ``plane="fast"|"auto"``
-        (bit-identical states, no counters)."""
+        :mod:`repro.kernels`).  Under ``plane="fast"|"auto"`` the truncated
+        contexts ride the fused truncating plane either way: with the
+        default ``count_ops=True`` they keep their counters (hydro blocks
+        run fused and charge the instrumented tally, other solvers count
+        op-by-op); ``count_ops=False`` builds non-counting contexts
+        throughout, which fuses every solver (bit-identical states, no
+        counters)."""
         if self.kind == "none":
             return NoTruncationPolicy(
                 runtime=runtime, count_ops=count_ops, track_memory=count_ops, plane=plane
@@ -312,8 +313,8 @@ class SweepSpec:
     plane:
         Kernel plane of the non-truncating contexts
         (:mod:`repro.kernels`): ``"auto"`` (default) runs reference tasks
-        on the fused binary64 fast plane and keeps counting contexts
-        instrumented; ``"fast"`` additionally runs every full-precision
+        on the fused binary64 fast plane and keeps counting binary64
+        contexts instrumented; ``"fast"`` additionally runs every full-precision
         context of the sweep points on the fast plane (bit-identical
         states, those counters dropped); ``"instrumented"`` disables the
         fast plane everywhere.
@@ -323,11 +324,12 @@ class SweepSpec:
         Also return the final uniform-grid state of every point (larger
         results; off by default).
     count_point_ops:
-        Record op/mem counters in the sweep points (default).  ``False``
-        builds every point policy non-counting, which routes truncated
-        contexts onto the fused truncating plane under
-        ``plane="fast"|"auto"`` — bit-identical states, much faster, but
-        the point snapshots carry zeroed counters.
+        Record op/mem counters in the sweep points (default).  Counted
+        hydro points already run fused under ``plane="fast"|"auto"``
+        (exact counters, see :meth:`repro.hydro.solver.HydroSolver.advance_block`);
+        ``False`` builds every point policy non-counting, which also fuses
+        the bubble and cellular points — bit-identical states, but the
+        point snapshots carry zeroed counters.
     cache_dir:
         Directory of the on-disk reference cache (see
         :mod:`repro.experiments.cache`).  ``None`` disables caching unless

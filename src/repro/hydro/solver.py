@@ -21,7 +21,8 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from ..amr.grid import AMRGrid
-from ..kernels import FPContext, FullPrecisionContext, ShadowContext
+from ..core.runtime import RaptorRuntime
+from ..kernels import FPContext, FullPrecisionContext, ShadowContext, TruncatedContext
 from ..kernels import flux as fused_flux
 from ..kernels import grid as grid_kernels
 from ..kernels.scratch import (
@@ -41,6 +42,11 @@ __all__ = ["HydroSolver", "ContextProvider", "default_context_provider"]
 ContextProvider = Callable[[str, Optional[int], Optional[int]], FPContext]
 
 PRIMITIVE_VARS = ("dens", "velx", "vely", "pres")
+
+
+def _counting(ctx: FPContext) -> bool:
+    """Whether ``ctx`` feeds the op/byte counters."""
+    return ctx.count_ops or ctx.track_memory
 
 
 def default_context_provider(module: str, level=None, max_level=None) -> FPContext:
@@ -117,6 +123,9 @@ class HydroSolver:
             self._workspace: Optional[Workspace] = make_workspace()
         else:
             self._workspace = Workspace() if scratch else None
+        #: (context, block shape) -> the (ops, bytes) one block update
+        #: records on the instrumented plane (see :meth:`advance_block`)
+        self._tallies: Dict[tuple, Tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
     # time step (full-precision diagnostic, as in the paper's fixed-dt runs)
@@ -210,18 +219,51 @@ class HydroSolver:
         interior primitive variables as plain binary64 arrays (the AMR grid
         stores plain arrays regardless of the instrumentation in use).
 
-        On a fused fast plane (``ctx.fused``) the whole update —
+        On a fast plane (``ctx.plane == "fast"``) the whole update —
         reconstruct → wave speeds → flux → conserved update — runs through
         the pre-fused pipeline of :mod:`repro.kernels.flux` without a
         single context dispatch, rounded by the context's hook
         (``ctx.rounder``): untouched on binary64, quantised at every op
         boundary on the truncating plane — bit-identical to the op-by-op
         path either way.
+
+        A *counting* fast-plane context is charged what the instrumented
+        stream records.  That tally depends on block shapes only (every op
+        records ``result.size`` ops and ``8 * (out + inputs)`` bytes, and
+        the hydro stream has no data-dependent branch), so the first block
+        of each (context, shape) runs op-by-op on an instrumented twin
+        counting into a private runtime — its result is the fused one, bit
+        for bit — and every later block runs fused and charges that tally.
         """
+        if ctx.plane != "fast":
+            return self._advance_op_by_op(block, dt, ctx)
+        if _counting(ctx) and self._tally_key(ctx, block) not in self._tallies:
+            return self._advance_tally(block, dt, ctx)
+        prims = {name: block.data[name] for name in PRIMITIVE_VARS}
+        new = self._advance_fused(
+            prims, dt, block.dx, block.dy, block.ng, block.nxb, block.nyb, ctx.rounder
+        )
+        if _counting(ctx):
+            self._charge(ctx, block)
+        return new
+
+    def _advance_tally(self, block, dt: float, ctx: FPContext) -> Dict[str, np.ndarray]:
+        """Advance ``block`` op-by-op on an instrumented twin of the counting
+        fast-plane ``ctx``, memoise the twin's tally and charge it."""
+        twin = TruncatedContext(
+            ctx.fmt, runtime=RaptorRuntime("tally"), module=ctx.module,
+            count_ops=ctx.count_ops, track_memory=ctx.track_memory, rounding=ctx.rounding,
+        )
+        new = self._advance_op_by_op(block, dt, twin)
+        self._tallies[self._tally_key(ctx, block)] = (
+            twin.runtime.ops.truncated, twin.runtime.mem.truncated
+        )
+        self._charge(ctx, block)
+        return new
+
+    def _advance_op_by_op(self, block, dt: float, ctx: FPContext) -> Dict[str, np.ndarray]:
+        """The instrumented block update: every op dispatched through ``ctx``."""
         ng, nxb, nyb = block.ng, block.nxb, block.nyb
-        if getattr(ctx, "fused", False):
-            prims = {name: block.data[name] for name in PRIMITIVE_VARS}
-            return self._advance_fused(prims, dt, block.dx, block.dy, ng, nxb, nyb, ctx.rounder)
         stages = self._stage_contexts(ctx)
         update_ctx = stages["update"]
 
@@ -293,6 +335,17 @@ class HydroSolver:
             "pres": update_ctx.asplain(new_pres),
         }
 
+    def _tally_key(self, ctx: FPContext, block) -> tuple:
+        """Everything a block update's instrumented counters depend on
+        besides the solver's fixed scheme, Riemann solver and gravity."""
+        return (ctx, block.ng, block.nxb, block.nyb)
+
+    def _charge(self, ctx: FPContext, block) -> None:
+        """Record one block update's memoised instrumented tally on ``ctx``."""
+        ops, nbytes = self._tallies[self._tally_key(ctx, block)]
+        ctx.runtime.record_truncated_ops(ops, module=ctx.module)
+        ctx.runtime.record_truncated_bytes(nbytes)
+
     def _advance_fused(self, prims: Dict, dt: float, dx: float, dy: float,
                        ng: int, nxb: int, nyb: int, q=EXACT) -> Dict[str, np.ndarray]:
         """The fully fused block (or block-stack) update under the hook ``q``."""
@@ -314,14 +367,15 @@ class HydroSolver:
     def _substep(self, grid: AMRGrid, dt: float, provider: ContextProvider) -> None:
         """One forward-Euler substep over all leaves (guard cells refilled).
 
-        Blocks whose context rides a fused plane (binary64 or truncating)
-        are stacked per AMR level and rounding-hook signature (binary64,
-        or one truncating (format, rounding) pair) into one
-        ``(nblocks, nx, ny)`` batched kernel invocation (element-wise
-        ufuncs are independent per slot, so the batched update is
-        bit-identical to the per-block loop); everything else —
-        instrumented truncating, shadow and counting contexts — takes the
-        per-block op-by-op path.
+        Blocks whose context rides a fast plane (binary64 or truncating,
+        counting or not) are stacked per AMR level and rounding-hook
+        signature (binary64, or one truncating (format, rounding) pair)
+        into one ``(nblocks, nx, ny)`` batched kernel invocation
+        (element-wise ufuncs are independent per slot, so the batched
+        update is bit-identical to the per-block loop); a counting context
+        first runs one block per shape through :meth:`advance_block` to
+        learn its tally.  Everything else — instrumented, shadow and
+        counting binary64 contexts — takes the per-block op-by-op path.
         """
         max_level = grid.finest_level
         keys = grid.sorted_keys()
@@ -331,26 +385,31 @@ class HydroSolver:
             # a regrid-heavy run cannot accumulate buffer families unboundedly
             self._workspace.trim()
 
+        updates: Dict = {}
         batched: Dict[tuple, list] = {}
         if self.batch_blocks:
             for key in keys:
-                ctx = contexts[key]
-                if getattr(ctx, "fused", False):
+                ctx, block = contexts[key], grid.leaves[key]
+                if ctx.plane != "fast":
+                    continue
+                if _counting(ctx) and self._tally_key(ctx, block) not in self._tallies:
+                    updates[key] = self.advance_block(block, dt, ctx)
+                else:
                     batched.setdefault((key[0], *ctx.rounder.sig), []).append(key)
             # a single block gains nothing from stacking
             batched = {sig: group for sig, group in batched.items() if len(group) > 1}
 
-        updates: Dict = {}
         for sig in sorted(batched):
             group = batched[sig]
             updates.update(
                 self._advance_level_batched(grid, group, dt, ctx=contexts[group[0]])
             )
-        in_batch = {key for group in batched.values() for key in group}
+            for key in group:
+                if _counting(contexts[key]):
+                    self._charge(contexts[key], grid.leaves[key])
         for key in keys:
-            if key in in_batch:
-                continue
-            updates[key] = self.advance_block(grid.leaves[key], dt, contexts[key])
+            if key not in updates:
+                updates[key] = self.advance_block(grid.leaves[key], dt, contexts[key])
 
         for key, prims in updates.items():
             block = grid.leaves[key]
@@ -359,10 +418,11 @@ class HydroSolver:
         grid.fill_guard_cells(list(PRIMITIVE_VARS))
 
     def _advance_level_batched(self, grid: AMRGrid, group, dt: float, ctx: FPContext) -> Dict:
-        """Advance same-level fused blocks as one stacked kernel invocation.
+        """Advance same-level fast-plane blocks as one stacked kernel
+        invocation.
 
-        ``ctx`` is the (shared) context of the group; its rounding hook
-        rounds the stacked update.
+        ``ctx`` is the context of the group's first block; its rounding hook
+        (shared by the whole group) rounds the stacked update.
         """
         blocks = [grid.leaves[key] for key in group]
         first = blocks[0]

@@ -17,10 +17,12 @@ on:
   numpy with zero per-op bookkeeping and (steady-state) zero temporary
   allocation, bit-identical to the instrumented plane, and
 * the **fused truncating fast plane** — :class:`TruncFastPlaneContext`:
-  non-counting truncating contexts run the *same* fused kernels with the
+  optimized truncating contexts run the *same* fused kernels with the
   truncating rounding hook of :mod:`repro.kernels.trunc`, a vectorised
   quantisation at exactly the op boundaries the instrumented plane rounds
-  at, bit-identical to the optimized op-by-op truncating path.
+  at, bit-identical to the optimized op-by-op truncating path; counting
+  ones keep their counters (op-by-op, except the hydro block update,
+  which runs fused and charges the instrumented tally).
 
 Each fused kernel has one source: it calls a rounding hook ``q`` after
 every arithmetic op, and each fast-plane context carries its hook as

@@ -7,25 +7,29 @@ computes:
   (:mod:`repro.core.opmode` / :mod:`repro.core.memmode`): per-op counter
   updates, truncation, error tracking, shadow values.  Bit-for-bit the
   pre-kernel-plane behaviour, counters included.
-* ``"fast"`` — non-counting contexts move to their fused plane: plain
-  binary64 contexts become the :class:`~repro.kernels.fast.FastPlaneContext`
-  and non-counting truncating contexts become the
+* ``"fast"`` — binary64 contexts become the
+  :class:`~repro.kernels.fast.FastPlaneContext` and optimized truncating
+  contexts (counting or not) become the
   :class:`~repro.kernels.trunc.TruncFastPlaneContext`; the solvers route
   their hot paths through the pre-fused kernels of
   :mod:`repro.kernels.fused` / :mod:`repro.kernels.flux`
   (scratch-buffered and block-batched) with the context's rounding hook;
   the bubble solver routes its advection/diffusion/level-set operators
-  through the twins of :mod:`repro.kernels.bubble` the same way.  States
-  are bit-identical (the fused planes evaluate the same ufunc expression
-  trees, quantised at the same op boundaries); the trade is that
-  substituted contexts no longer feed the op/mem counters.  *Counting*
-  truncating contexts and shadow contexts are the measurement itself and
-  always remain instrumented — substituting a counting binary64 context
-  here zeroes its counters, which is reported with a :class:`UserWarning`.
-* ``"auto"`` (default) — fused only where it is a pure win: contexts that
-  would record nothing anyway (``count_ops`` and ``track_memory`` both
-  off).  Counting contexts stay instrumented, so reported counters are
-  byte-identical to the instrumented plane.
+  through :mod:`repro.kernels.bubble` the same way.  States are
+  bit-identical (the fused planes evaluate the same ufunc expression
+  trees, quantised at the same op boundaries).  A *counting* truncating
+  context keeps its counters: it is not ``fused``, so it runs op-by-op
+  (and counts exactly) everywhere except the hydro block update, whose op
+  stream depends on block shapes only — there the solver runs the fused
+  pipeline and charges the op/byte tally of the instrumented stream.
+  Error-tracking, naive (``optimized=False``) and shadow contexts are the
+  measurement itself and always remain instrumented.  A counting binary64
+  context is substituted too, but its counters then read zero, which is
+  reported with a :class:`UserWarning`.
+* ``"auto"`` (default) — the fused planes only where the counters come out
+  unchanged: every context ``"fast"`` moves except counting binary64
+  contexts, so reported counters are byte-identical to the instrumented
+  plane.
 
 Reference runs are the special case: the experiment engine never consumes
 their counters (point metrics come exclusively from the point runs, and
@@ -78,30 +82,26 @@ def is_fast_eligible(ctx: FPContext) -> bool:
 
 
 def is_trunc_fast_eligible(ctx: FPContext) -> bool:
-    """Whether the truncating fast plane preserves ``ctx``'s semantics bit
-    for bit *and* loses nothing by dropping the counters.
+    """Whether the truncating fast plane preserves ``ctx``'s semantics *and*
+    its counters bit for bit.
 
     True exactly for optimized op-mode :class:`TruncatedContext`\\ s that
-    record nothing: ``count_ops``/``track_memory``/``track_errors`` all
-    off.  A counting truncating context *is* the measurement and stays
-    instrumented on every plane; shadow (mem-mode) contexts are not
+    do not track errors; ``count_ops``/``track_memory`` carry over to the
+    :class:`TruncFastPlaneContext`.  Per-op error statistics need the
+    op-by-op stream; shadow (mem-mode) contexts are not
     ``TruncatedContext`` subclasses and are excluded structurally; the
     naive (``optimized=False``) path re-quantises every operand, which the
-    fused twins do not reproduce.
+    fused kernels do not reproduce.
     """
-    return (
-        isinstance(ctx, TruncatedContext)
-        and ctx.optimized
-        and not (ctx.count_ops or ctx.track_memory or ctx.track_errors)
-    )
+    return isinstance(ctx, TruncatedContext) and ctx.optimized and not ctx.track_errors
 
 
 def select_context(ctx: FPContext, plane: str = DEFAULT_PLANE) -> FPContext:
     """The context that should actually execute, given the requested plane.
 
     Returns ``ctx`` itself whenever substitution would change semantics
-    (counting truncating / shadow contexts, the ``"instrumented"`` plane)
-    or record different counters under ``"auto"``.  An explicit
+    (error-tracking, naive and shadow contexts, the ``"instrumented"``
+    plane) or record different counters under ``"auto"``.  An explicit
     ``plane="fast"`` request on a *counting* binary64 context substitutes
     anyway (states stay bit-identical) but warns that the counters will
     read zero.
@@ -110,8 +110,8 @@ def select_context(ctx: FPContext, plane: str = DEFAULT_PLANE) -> FPContext:
     if plane == "instrumented" or isinstance(ctx, (FastPlaneContext, TruncFastPlaneContext)):
         return ctx
     if is_trunc_fast_eligible(ctx):
-        # non-counting truncating context: the fused truncating plane is a
-        # pure, bit-identical win under both "fast" and "auto"
+        # optimized truncating context: the fused truncating plane keeps its
+        # states and counters bit-identical under both "fast" and "auto"
         return TruncFastPlaneContext.from_context(ctx)
     if not is_fast_eligible(ctx):
         return ctx

@@ -21,8 +21,9 @@ inputs every method returns exactly the bits the instrumented
 evaluate the same ufuncs in the same order (reductions included, which go
 through ``ufunc.reduce`` on both planes).  The plane is therefore only ever
 selected for contexts that neither truncate nor record (see
-:mod:`repro.kernels.dispatch`); counting truncating and shadow contexts
-*are* the measurement and always stay on the instrumented plane.
+:mod:`repro.kernels.dispatch`); truncating contexts move to the truncating
+plane of :mod:`repro.kernels.trunc` instead, and shadow contexts *are* the
+measurement and always stay on the instrumented plane.
 """
 from __future__ import annotations
 

@@ -16,7 +16,8 @@ dispatch layer routes eligible truncating contexts onto:
   at, in place through :func:`quantize_into` — truncation only, no
   counters;
 * :class:`TruncFastPlaneContext` — the truncating context that carries a
-  :class:`Rounder` onto the fused kernels.
+  :class:`Rounder` onto the fused kernels (counting or not: a counting one
+  records exactly what the instrumented context records).
 
 Bit-identity contract
 ---------------------
@@ -304,21 +305,26 @@ class Rounder:
 class TruncFastPlaneContext(TruncatedContext):
     """A truncating context living on the fused fast plane.
 
-    Carries the point's :class:`~repro.core.fpformat.FPFormat` and rounding
-    mode; ``count_ops``/``track_memory``/``track_errors`` are forced off —
-    a context whose counters matter must stay instrumented (it *is* the
-    measurement).  Inherits the optimized ``TruncatedContext`` op-by-op
-    semantics verbatim for any code path without a fused kernel (the
+    Carries the point's :class:`~repro.core.fpformat.FPFormat`, rounding
+    mode and counters (``count_ops``/``track_memory``; ``track_errors`` is
+    forced off — per-op error statistics need the op-by-op stream).
+    Inherits the optimized ``TruncatedContext`` op-by-op semantics — and
+    its recording — verbatim for any code path without a fused kernel (the
     incomp advection tail, level-set transport, diffusion…), so every
-    operation — fused or not — is bit-identical to the instrumented plane.
+    operation, fused or not, is bit-identical to the instrumented plane and
+    every op it runs op-by-op is counted exactly as there.
 
-    Like the binary64 :class:`~repro.kernels.fast.FastPlaneContext`, it
-    sets the ``fused`` flag; solvers then call the fused kernels with
-    ``q=ctx.rounder``, a :class:`Rounder` for this format and rounding.
+    A non-counting context sets the ``fused`` flag, like the binary64
+    :class:`~repro.kernels.fast.FastPlaneContext`: solvers then call the
+    fused kernels with ``q=ctx.rounder``, a :class:`Rounder` for this format
+    and rounding.  A counting context leaves ``fused`` off, so the
+    per-stage shortcuts still run (and count) op-by-op; only the hydro
+    solver, whose whole-block op stream is data-independent, runs it on the
+    fused pipeline and charges the instrumented tally (see
+    ``HydroSolver.advance_block``).
     """
 
     plane = "fast"
-    fused = True
 
     def __init__(
         self,
@@ -326,37 +332,32 @@ class TruncFastPlaneContext(TruncatedContext):
         runtime=None,
         module: Optional[str] = None,
         rounding: str = RoundingMode.NEAREST_EVEN,
+        count_ops: bool = False,
+        track_memory: bool = False,
     ) -> None:
         super().__init__(
             fmt,
             runtime=runtime,
             module=module,
             optimized=True,
-            count_ops=False,
-            track_memory=False,
+            count_ops=count_ops,
+            track_memory=track_memory,
             track_errors=False,
             rounding=rounding,
         )
         self.name = f"e{fmt.exp_bits}m{fmt.man_bits}-fast"
         self.rounder = Rounder(fmt, rounding)
+        self.fused = not (count_ops or track_memory)
 
     @classmethod
     def from_context(cls, ctx: TruncatedContext) -> "TruncFastPlaneContext":
         """Clone an eligible instrumented truncating context onto the plane."""
-        return cls(ctx.fmt, runtime=ctx.runtime, module=ctx.module, rounding=ctx.rounding)
-
-    # no recording: evaluate in binary64, round the result — the exact
-    # optimized TruncatedContext stream minus the counters
-    def _apply(self, ufunc, inputs, label: str = ""):
-        arrs = [np.asarray(x, dtype=np.float64) for x in inputs]
-        return quantize(ufunc(*arrs), self.fmt, self.rounding)
-
-    def _reduce(self, ufunc, a, axis: Optional[int] = None, label: str = ""):
-        arr = np.asarray(a, dtype=np.float64)
-        return quantize(ufunc.reduce(arr, axis=axis), self.fmt, self.rounding)
+        return cls(ctx.fmt, runtime=ctx.runtime, module=ctx.module, rounding=ctx.rounding,
+                   count_ops=ctx.count_ops, track_memory=ctx.track_memory)
 
     def describe(self) -> str:
+        counters = "no counters" if self.fused else "counting"
         return (
             f"TruncFastPlaneContext(e{self.fmt.exp_bits}m{self.fmt.man_bits}, "
-            f"rounding={self.rounding}, fused truncating kernels, no counters)"
+            f"rounding={self.rounding}, fused truncating kernels, {counters})"
         )

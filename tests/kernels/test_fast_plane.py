@@ -26,6 +26,7 @@ from repro.kernels import (
     DEFAULT_PLANE,
     PLANES,
     FastPlaneContext,
+    TruncFastPlaneContext,
     fused,
     is_fast_eligible,
     reference_plane,
@@ -121,13 +122,17 @@ class TestPlaneSelection:
             validate_plane("warp")
         assert DEFAULT_PLANE in PLANES
 
-    def test_truncating_and_shadow_contexts_never_substituted(self):
+    def test_counting_truncating_keeps_counters_and_shadow_never_substituted(self):
         rt = RaptorRuntime()
         cfg = TruncationConfig(targets={64: BF16})
         truncated = TruncatedContext.from_config(cfg, runtime=rt)
         shadow = ShadowContext.from_config(cfg, runtime=rt)
+        assert select_context(truncated, "instrumented") is truncated
+        for plane in ("fast", "auto"):
+            moved = select_context(truncated, plane)
+            assert isinstance(moved, TruncFastPlaneContext) and not moved.fused
+            assert moved.count_ops and moved.track_memory and moved.runtime is rt
         for plane in PLANES:
-            assert select_context(truncated, plane) is truncated
             assert select_context(shadow, plane) is shadow
         assert not is_fast_eligible(truncated)
         assert not is_fast_eligible(shadow)

@@ -35,6 +35,26 @@ TINY_CONFIGS = {
 
 ALL_WORKLOADS = tuple(TINY_CONFIGS)
 
+#: the counter gate: a third level so M-1 mixes truncated and binary64
+#: blocks, a step or two each (double-blast's steps are the costliest)
+COUNTED_CONFIGS = {
+    name: dict(TINY_COMPRESSIBLE, max_level=3, t_end=0.001)
+    for name in ("sod", "sedov", "kelvin-helmholtz", "rayleigh-taylor", "double-blast")
+}
+COUNTED_CONFIGS["double-blast"]["t_end"] = 0.0002
+COUNTED_POLICIES = (
+    PolicySpec(kind="global"), PolicySpec.amr_cutoff(1), PolicySpec.module("hydro"),
+)
+COUNTED_ROUNDINGS = ("nearest-even", "toward-zero")
+COUNTED_RUNS = (("instrumented", "serial"), ("auto", "serial"), ("auto", "process"))
+#: (workload, policy, rounding) — "rk2" is the rk_stages=2 Sedov sweep
+COUNTED_CASES = [
+    (workload, policy.describe(), rounding)
+    for workload in COUNTED_CONFIGS
+    for policy in COUNTED_POLICIES
+    for rounding in COUNTED_ROUNDINGS
+] + [("sedov", policy.describe(), "rk2") for policy in COUNTED_POLICIES]
+
 
 def _assert_states_equal(a, b, label):
     assert set(a) == set(b), label
@@ -120,28 +140,57 @@ class TestAllWorkloadsThroughRunSweep:
                 assert ours.errors == theirs.errors, key
                 assert ours.scalar_error == theirs.scalar_error, key
 
-    def test_auto_plane_counters_match_instrumented(self, results):
-        """plane="auto" (the default) must keep the per-point counters
-        byte-identical to the instrumented plane — only the reference
-        tasks (whose counters are discarded) move to the fast plane."""
-        auto = run_sweep(
-            SweepSpec(
-                workloads=("sod",),
+    @pytest.fixture(scope="class")
+    def counted(self):
+        """Counted sweeps (the default ``count_point_ops=True``) of every
+        compressible workload × {global, M-1, module[hydro]}, per rounding:
+        the instrumented plane on the serial backend, ``plane="auto"`` on
+        both backends."""
+
+        def spec(plane, backend, rounding, configs=COUNTED_CONFIGS):
+            return SweepSpec(
+                workloads=tuple(configs),
                 formats=("bf16",),
-                policies=(PolicySpec(kind="global"),),
-                workload_configs={"sod": TINY_CONFIGS["sod"]},
-                plane="auto",
+                policies=COUNTED_POLICIES,
+                workload_configs=configs,
+                rounding=rounding,
+                plane=plane,
+                backend=backend,
+                max_workers=2,
+                count_point_ops=True,
             )
-        )
-        instrumented = results[("instrumented", "serial")]
-        ours = next(
-            p for p in instrumented.points
-            if p.workload == "sod" and p.format_name == "bf16"
-        )
-        theirs = auto.points[0]
-        assert ours.ops == theirs.ops
-        assert ours.mem == theirs.mem
-        assert ours.module_ops == theirs.module_ops
+
+        runs = {
+            (plane, backend, rounding): run_sweep(spec(plane, backend, rounding))
+            for rounding in COUNTED_ROUNDINGS
+            for plane, backend in COUNTED_RUNS
+        }
+        rk2 = {"sedov": dict(COUNTED_CONFIGS["sedov"], rk_stages=2)}
+        runs.update({
+            (plane, backend, "rk2"): run_sweep(spec(plane, backend, "nearest-even", rk2))
+            for plane, backend in COUNTED_RUNS
+        })
+        return runs
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("workload,policy,rounding", COUNTED_CASES)
+    def test_auto_plane_counters_match_instrumented(self, counted, workload, policy,
+                                                    rounding, backend):
+        """plane="auto" (the default) must keep every counted point's
+        metrics — errors and op/byte counters — identical to the
+        instrumented plane: the counted hydro blocks run the fused pipeline
+        and charge the instrumented tally, the references move to the fast
+        plane."""
+        instrumented = counted[("instrumented", "serial", rounding)]
+        auto = counted[("auto", backend, rounding)]
+
+        def point(result):
+            return next(p for p in result.points
+                        if p.workload == workload and p.policy == policy)
+
+        ours, theirs = point(instrumented), point(auto)
+        assert ours.ops["truncated"] + ours.ops["full"] > 0
+        assert theirs.metrics_key() == ours.metrics_key()
 
     def test_fast_plane_drops_full_precision_counters(self, results):
         fast = results[("fast", "serial")]

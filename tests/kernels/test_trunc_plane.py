@@ -12,9 +12,11 @@ The load-bearing contracts:
   instrumented :class:`TruncatedContext` stream bit for bit on
   representable inputs, because it quantises at exactly the same op
   boundaries; the exact hook hands back its inputs untouched;
-* plane selection routes *non-counting* truncating contexts onto
-  :class:`TruncFastPlaneContext` under both ``"fast"`` and ``"auto"`` and
-  never substitutes a counting, naive, error-tracking or shadow context;
+* plane selection routes optimized truncating contexts onto
+  :class:`TruncFastPlaneContext` under both ``"fast"`` and ``"auto"`` —
+  counting ones keep their counters, record exactly what the instrumented
+  context records and are not ``fused`` — and never substitutes a naive,
+  error-tracking or shadow context;
 * the scratch workspace and the batched per-level stepping never change a
   bit, and whole truncated workloads (states *and* counter snapshots) are
   identical across planes, backends and the engine entry points.
@@ -203,12 +205,19 @@ class TestTruncFastPlaneContext:
         rounding=st.sampled_from(ROUNDINGS),
     )
     @settings(max_examples=60, deadline=None)
-    def test_ops_match_instrumented(self, a, fmt, rounding):
+    @pytest.mark.parametrize("counting", [False, True], ids=["silent", "counting"])
+    def test_ops_match_instrumented(self, a, fmt, rounding, counting):
+        """Op for op, the plane context returns the instrumented bits; a
+        counting one also records exactly what the instrumented context
+        records, element-wise ops and reductions alike."""
         a = np.asarray(quantize(a, fmt, rounding))
         b = np.abs(a) + 1.0
         b = np.asarray(quantize(b, fmt, rounding))
-        slow = _instrumented(fmt, rounding)
-        fast = TruncFastPlaneContext(fmt, rounding=rounding)
+        slow = _instrumented(fmt, rounding, module="hydro")
+        fast = TruncFastPlaneContext(fmt, runtime=RaptorRuntime(), module="hydro",
+                                     rounding=rounding, count_ops=counting,
+                                     track_memory=counting)
+        assert fast.fused is not counting
         for op, args in (
             ("add", (a, b)), ("sub", (a, b)), ("mul", (a, b)), ("div", (a, b)),
             ("maximum", (a, b)), ("minimum", (a, b)),
@@ -218,6 +227,10 @@ class TestTruncFastPlaneContext:
             np.testing.assert_array_equal(
                 getattr(fast, op)(*args), getattr(slow, op)(*args), err_msg=op
             )
+            if counting:
+                snaps = fast.runtime.snapshot(), slow.runtime.snapshot()
+                for field in ("ops", "mem", "modules"):
+                    assert snaps[0][field] == snaps[1][field], (op, field)
 
 
 class TestRoundingHooks:
@@ -260,7 +273,7 @@ class TestRoundingHooks:
 class TestTruncPlaneSelection:
     def test_eligibility_predicate(self):
         assert is_trunc_fast_eligible(_silent())
-        assert not is_trunc_fast_eligible(_instrumented())  # counting
+        assert is_trunc_fast_eligible(_instrumented())  # counting
         assert not is_trunc_fast_eligible(
             TruncatedContext(BF16, runtime=RaptorRuntime(), optimized=False,
                              count_ops=False, track_memory=False)
@@ -283,27 +296,35 @@ class TestTruncPlaneSelection:
         assert ctx.runtime is src.runtime
 
     def test_instrumented_plane_never_substitutes(self):
-        src = _silent()
-        assert select_context(src, "instrumented") is src
+        for src in (_silent(), _instrumented()):
+            assert select_context(src, "instrumented") is src
 
-    def test_counting_truncating_context_stays_put_without_warning(self):
+    @pytest.mark.parametrize("plane", ["fast", "auto"])
+    def test_counting_truncating_context_moves_counting_without_warning(self, plane):
         import warnings
 
-        counting = _instrumented()
-        for plane in ("fast", "auto", "instrumented"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert select_context(counting, plane) is counting
+        counting = TruncatedContext(BF16, runtime=RaptorRuntime(), module="hydro",
+                                    rounding=RoundingMode.TOWARD_ZERO, track_memory=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ctx = select_context(counting, plane)
+        assert isinstance(ctx, TruncFastPlaneContext) and not ctx.fused
+        assert ctx.count_ops and not ctx.track_memory
+        assert ctx.fmt is counting.fmt and ctx.rounding == counting.rounding
+        assert ctx.module == "hydro" and ctx.runtime is counting.runtime
+        assert "counting" in ctx.describe()
 
     def test_naive_and_shadow_contexts_stay_put(self):
         naive = TruncatedContext(BF16, runtime=RaptorRuntime(), optimized=False,
                                  count_ops=False, track_memory=False)
+        naive_counting = TruncatedContext(BF16, runtime=RaptorRuntime(), optimized=False)
+        tracking = TruncatedContext(BF16, runtime=RaptorRuntime(), track_errors=True)
         shadow = ShadowContext.from_config(
             TruncationConfig(targets={64: BF16}), runtime=RaptorRuntime()
         )
         for plane in ("fast", "auto"):
-            assert select_context(naive, plane) is naive
-            assert select_context(shadow, plane) is shadow
+            for ctx in (naive, naive_counting, tracking, shadow):
+                assert select_context(ctx, plane) is ctx
 
     def test_selection_is_idempotent_on_the_plane(self):
         ctx = _fast()
@@ -672,6 +693,49 @@ class TestTruncAdvance:
                         states[key][var], base[key][var], err_msg=f"{label}: {key} {var}"
                     )
 
+    @pytest.mark.parametrize("policy", ["global", "m-1"])
+    @pytest.mark.parametrize("batch", [True, False], ids=["batched", "perblock"])
+    def test_counted_substeps_match_instrumented(self, policy, batch):
+        """Counting contexts on the trunc plane: two substeps (the first
+        learns each tally op-by-op, the second charges it) leave the states
+        and the op/byte counters exactly as on the instrumented plane, and
+        only the first block of each (context, shape) runs op-by-op."""
+
+        def run(plane):
+            rt = RaptorRuntime()
+            config = TruncationConfig(targets={64: E8M10})
+            pol = (GlobalPolicy(config, runtime=rt, plane=plane) if policy == "global"
+                   else AMRCutoffPolicy(config, cutoff=1, runtime=rt, plane=plane))
+            provider = lambda module, level=None, max_level=None: pol.context_for(
+                module=module, level=level, max_level=max_level)
+            grid = _sod_workload(max_level=3).build_grid()
+            solver = HydroSolver(rk_stages=1, batch_blocks=batch)
+            op_by_op = []
+            advance = solver._advance_op_by_op
+            solver._advance_op_by_op = lambda block, dt, ctx: (
+                op_by_op.append(type(ctx)) or advance(block, dt, ctx))
+            for _ in range(2):
+                solver._substep(grid, 5e-4, provider)
+            states = {key: {v: grid.leaves[key].interior_view(v).copy()
+                            for v in ("dens", "velx", "vely", "pres")}
+                      for key in grid.sorted_keys()}
+            return states, rt.snapshot(), op_by_op
+
+        slow, slow_snap, _ = run("instrumented")
+        fast, fast_snap, op_by_op = run("auto")
+        assert set(fast) == set(slow)
+        for key in slow:
+            for var in slow[key]:
+                np.testing.assert_array_equal(fast[key][var], slow[key][var],
+                                              err_msg=f"{key} {var}")
+        assert slow_snap["ops"]["truncated"] > 0
+        for field in ("ops", "mem", "modules"):
+            assert fast_snap[field] == slow_snap[field], field
+        # one tally run per (context, shape); M-1's finest level stays a
+        # counting binary64 context, op-by-op on every plane
+        assert op_by_op.count(TruncatedContext) == 1
+        assert all(kind in (TruncatedContext, FullPrecisionContext) for kind in op_by_op)
+
     def test_mixed_format_levels_batch_by_signature(self):
         """Per-level formats must never share a batch group: the group
         signature carries (format, rounding), so a provider handing
@@ -762,8 +826,9 @@ class TestTruncWorkloadEquivalence:
         for key in instrumented.state:
             np.testing.assert_array_equal(auto.state[key], instrumented.state[key],
                                           err_msg=key)
-        # byte-identical counters: counting policies stay instrumented
-        # under auto; non-counting ones record nothing on either plane
+        # byte-identical counters: counting policies run fused under auto
+        # and charge the instrumented tally; non-counting ones record
+        # nothing on either plane
         assert auto.snapshot() == instrumented.snapshot()
 
     def test_run_sweep_identical_with_and_without_point_counters(self):

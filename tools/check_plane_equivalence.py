@@ -13,7 +13,13 @@ A third pass repeats both golden configurations as *truncated* (e8m10,
 non-counting) runs: the instrumented op-by-op ``TruncatedContext`` path
 vs the fused truncating plane (the fused kernels run with the
 ``repro.kernels.trunc.Rounder`` hook), which quantizes at the same op
-boundaries and must match bitwise too.  A fourth pass
+boundaries and must match bitwise too.  A counted pass repeats them
+under a *counting* e8m10 ``GlobalPolicy`` and an ``AMRCutoffPolicy``
+M-1 (at ``max_level=3``, so binary64 and truncated levels mix):
+``plane="auto"`` (the counted hydro blocks run the fused pipeline and
+charge the instrumented op/byte tally) vs ``plane="instrumented"`` — the
+states must match bitwise and the runtime snapshots' ``ops``/``mem``/
+``modules`` counters exactly.  A fourth pass
 drives a regrid-heavy Kelvin–Helmholtz configuration (``max_level=3``,
 regrid every step, so guard-fill plans are rebuilt constantly and
 coarse/fine strips stay hot) through the fused *grid* plane — batched
@@ -55,21 +61,30 @@ GRID_GOLDEN = dict(
 )
 
 
+#: the counted M-1 pass needs a third level: at max_level=2 the golden grids
+#: refine every root, so M-1 would leave no truncated block
+COUNTED_M1 = dict(max_level=3, t_end=0.01)
+
+
+def _diff_outcomes(label: str, a_out, b_out) -> list:
+    """Final time and every state variable of two runs, bitwise."""
+    failures = []
+    if a_out.time != b_out.time:
+        failures.append(f"{label}: final time differs: {a_out.time} vs {b_out.time}")
+    for var in sorted(a_out.state):
+        a, b = a_out.state[var], b_out.state[var]
+        if not np.array_equal(a, b):
+            diverged = int(np.sum(a != b))
+            failures.append(f"{label}: variable {var!r}: {diverged}/{a.size} cells differ")
+    return failures
+
+
 def _diff_planes(name: str, config: dict) -> list:
     from repro.workloads import create_workload
 
     instrumented = create_workload(name, **config).reference(plane="instrumented")
     fast = create_workload(name, **config).reference(plane="fast")
-
-    failures = []
-    if instrumented.time != fast.time:
-        failures.append(f"{name}: final time differs: {instrumented.time} vs {fast.time}")
-    for var in sorted(instrumented.state):
-        a, b = instrumented.state[var], fast.state[var]
-        if not np.array_equal(a, b):
-            diverged = int(np.sum(a != b))
-            failures.append(f"{name}: variable {var!r}: {diverged}/{a.size} cells differ")
-    return failures
+    return _diff_outcomes(name, instrumented, fast)
 
 
 def _diff_trunc_planes(name: str, config: dict) -> list:
@@ -85,21 +100,43 @@ def _diff_trunc_planes(name: str, config: dict) -> list:
         )
         return create_workload(name, **config).run(policy=policy, runtime=runtime)
 
-    instrumented = run("instrumented")
-    fast = run("auto")
+    return _diff_outcomes(f"{name} (truncated)", run("instrumented"), run("auto"))
+
+
+def _diff_counted_planes(name: str, config: dict) -> list:
+    """Counting e8m10 runs (global and M-1): the counted fused pipeline vs
+    the op-by-op instrumented plane — states *and* op/byte counters."""
+    from repro.core import (AMRCutoffPolicy, FPFormat, GlobalPolicy,
+                            RaptorRuntime, TruncationConfig)
+    from repro.kernels import TruncFastPlaneContext
+    from repro.workloads import create_workload
+
+    def run(make_policy, run_config, plane):
+        runtime = RaptorRuntime()
+        trunc = TruncationConfig(targets={64: FPFormat(exp_bits=8, man_bits=10)})
+        policy = make_policy(trunc, runtime, plane)
+        ctx = policy.context_for(module="hydro", level=1, max_level=run_config["max_level"])
+        outcome = create_workload(name, **run_config).run(policy=policy, runtime=runtime)
+        return outcome, isinstance(ctx, TruncFastPlaneContext)
 
     failures = []
-    if instrumented.time != fast.time:
-        failures.append(
-            f"{name} (truncated): final time differs: {instrumented.time} vs {fast.time}"
-        )
-    for var in sorted(instrumented.state):
-        a, b = instrumented.state[var], fast.state[var]
-        if not np.array_equal(a, b):
-            diverged = int(np.sum(a != b))
-            failures.append(
-                f"{name} (truncated): variable {var!r}: {diverged}/{a.size} cells differ"
-            )
+    for kind, make_policy, run_config in (
+        ("global", lambda c, rt, plane: GlobalPolicy(c, runtime=rt, plane=plane), config),
+        ("M-1", lambda c, rt, plane: AMRCutoffPolicy(c, cutoff=1, runtime=rt, plane=plane),
+         dict(config, **COUNTED_M1)),
+    ):
+        label = f"{name} (counted, {kind})"
+        instrumented, _ = run(make_policy, run_config, "instrumented")
+        auto, on_fast_plane = run(make_policy, run_config, "auto")
+        if not on_fast_plane:
+            failures.append(f"{label}: plane='auto' kept the counting context instrumented")
+        failures.extend(_diff_outcomes(label, instrumented, auto))
+        a, b = instrumented.runtime.snapshot(), auto.runtime.snapshot()
+        if a["ops"]["truncated"] == 0:
+            failures.append(f"{label}: the instrumented run counted no truncated ops")
+        for field in ("ops", "mem", "modules"):
+            if a[field] != b[field]:
+                failures.append(f"{label}: counters {field!r} differ: {a[field]} vs {b[field]}")
     return failures
 
 
@@ -238,6 +275,7 @@ def main() -> int:
     for name, config in GOLDEN_CONFIGS.items():
         failures.extend(_diff_planes(name, config))
         failures.extend(_diff_trunc_planes(name, config))
+        failures.extend(_diff_counted_planes(name, config))
     failures.extend(_diff_grid_plane())
     failures.extend(_diff_bubble_planes())
 
@@ -250,7 +288,8 @@ def main() -> int:
     print(
         "OK: golden Sod (PLM) and Sedov (WENO5, fused flux + scratch + "
         "batched) bitwise identical on both planes, full-precision and "
-        "truncated (e8m10); regrid-heavy KH bitwise identical with the "
+        "truncated (e8m10); counted e8m10 (global and M-1) bitwise identical "
+        "with byte-identical op/byte counters; regrid-heavy KH bitwise identical with the "
         "fused grid plane on and off; rising bubble bitwise identical on "
         "the fused bubble plane, full-precision and truncated"
     )
