@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import TruncationConfig
 from .fpformat import FP64, FPFormat
-from .quantize import RoundingMode, quantize
+from .quantize import RoundingMode, quantize, quantize_const
 from .registry import SourceLocation, capture_location
 from .runtime import RaptorRuntime, get_runtime
 
@@ -196,10 +196,6 @@ class FPContext:
         return f"{type(self).__name__}(fmt=e{self.fmt.exp_bits}m{self.fmt.man_bits})"
 
 
-def _nelems(x: ArrayLike) -> int:
-    return int(np.size(x))
-
-
 class FullPrecisionContext(FPContext):
     """Plain binary64 numpy arithmetic, optionally counted by the runtime.
 
@@ -224,29 +220,27 @@ class FullPrecisionContext(FPContext):
         self.track_memory = track_memory
         self.module = module
 
-    def _record(self, result: np.ndarray, inputs: Sequence[ArrayLike]) -> None:
-        n = _nelems(result)
-        if self.count_ops:
-            self.runtime.record_full_ops(n, module=self.module)
-        if self.track_memory:
-            nbytes = 8 * (n + sum(_nelems(x) for x in inputs))
-            self.runtime.record_full_bytes(nbytes)
-
     def _apply(self, ufunc, inputs: Sequence[ArrayLike], label: str):
         arrs = [np.asarray(x, dtype=np.float64) for x in inputs]
         result = ufunc(*arrs)
-        self._record(result, arrs)
+        n = result.size
+        if self.count_ops:
+            self.runtime.record_full_ops(n, module=self.module)
+        if self.track_memory:
+            for a in arrs:
+                n += a.size
+            self.runtime.record_full_bytes(8 * n)
         return result
 
     def _reduce(self, ufunc, a: ArrayLike, axis: Optional[int], label: str):
         arr = np.asarray(a, dtype=np.float64)
         result = ufunc.reduce(arr, axis=axis)
         # n-1 scalar operations per reduced lane
-        n = max(_nelems(arr) - _nelems(result), 0)
+        n = max(arr.size - result.size, 0)
         if self.count_ops:
             self.runtime.record_full_ops(n, module=self.module)
         if self.track_memory:
-            self.runtime.record_full_bytes(8 * (_nelems(arr) + _nelems(result)))
+            self.runtime.record_full_bytes(8 * (arr.size + result.size))
         return result
 
 
@@ -318,6 +312,9 @@ class TruncatedContext(FPContext):
 
     # ------------------------------------------------------------------
     def const(self, x: ArrayLike) -> np.ndarray:
+        if isinstance(x, (float, int)):
+            # literals hit the shared cache; a fresh 0-d array per call
+            return np.array(quantize_const(x, self.fmt, self.rounding))
         return quantize(np.asarray(x, dtype=np.float64), self.fmt, self.rounding)
 
     def _location(self, label: str) -> Optional[SourceLocation]:
@@ -333,7 +330,7 @@ class TruncatedContext(FPContext):
         exact: Optional[np.ndarray],
         label: str,
     ) -> None:
-        n = _nelems(result)
+        n = result.size
         abs_err = rel_err = None
         if self.track_errors and exact is not None:
             abs_err = np.abs(result - exact)
@@ -349,15 +346,22 @@ class TruncatedContext(FPContext):
                 rel_err=rel_err,
             )
         if self.track_memory:
-            nbytes = 8 * (n + sum(_nelems(x) for x in inputs))
-            self.runtime.record_truncated_bytes(nbytes)
+            for a in inputs:
+                n += a.size
+            self.runtime.record_truncated_bytes(8 * n)
 
     def _apply(self, ufunc, inputs: Sequence[ArrayLike], label: str):
         arrs = [np.asarray(x, dtype=np.float64) for x in inputs]
         if not self.optimized:
             arrs = [quantize(a, self.fmt, self.rounding) for a in arrs]
         exact = ufunc(*arrs)
-        result = quantize(exact, self.fmt, self.rounding)
+        if self.track_errors:
+            result = quantize(exact, self.fmt, self.rounding)
+        else:
+            # nothing else reads the binary64 result: round it in place
+            # (0-d operands give a numpy scalar, which quantize copies)
+            result = quantize(exact, self.fmt, self.rounding,
+                              out=exact if type(exact) is np.ndarray else None)
         self._record(result, arrs, exact if self.track_errors else None, label)
         return result
 
@@ -372,11 +376,11 @@ class TruncatedContext(FPContext):
         # below the truncation error of the element-wise work feeding it.
         exact = ufunc.reduce(arr, axis=axis)
         result = quantize(exact, self.fmt, self.rounding)
-        n = max(_nelems(arr) - _nelems(result), 0)
+        n = max(arr.size - result.size, 0)
         if self.count_ops:
             self.runtime.record_truncated_ops(n, location=self._location(label), module=self.module)
         if self.track_memory:
-            self.runtime.record_truncated_bytes(8 * (_nelems(arr) + _nelems(result)))
+            self.runtime.record_truncated_bytes(8 * (arr.size + result.size))
         return result
 
 

@@ -11,10 +11,16 @@ events, and it is fully vectorised over numpy arrays.
 
 Subnormals, signed zeros, overflow-to-infinity and NaN propagation follow
 IEEE-754 semantics for the target format.
+
+The op-by-op planes call :func:`quantize` once per operation on small
+arrays, so it is written for per-call cost: it works on the binary64
+exponent field directly (no ``frexp``, no compress/scatter of the finite
+lanes), rounds in place when given ``out=``, and scalar literals go
+through the :func:`quantize_const` cache.
 """
 from __future__ import annotations
 
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -23,6 +29,7 @@ from .fpformat import FPFormat
 __all__ = [
     "RoundingMode",
     "quantize",
+    "quantize_const",
     "quantize_like",
     "is_representable",
     "ulp",
@@ -43,10 +50,37 @@ class RoundingMode:
     ALL = (NEAREST_EVEN, TOWARD_ZERO, UP, DOWN)
 
 
+#: per-format constants of :func:`quantize`, keyed by (exp_bits, man_bits)
+_FORMAT_CONSTANTS: dict = {}
+
+
+def _constants(fmt: FPFormat) -> tuple:
+    """``(lo, risky_at, fwd, max_value)`` for ``fmt``: the biased ``emin``
+    (the clamp of the exponent), the first biased exponent that may
+    overflow ``fmt``, and the offset that turns a biased ``Eeff`` into the
+    ``ldexp`` exponent ``man_bits - Eeff``."""
+    key = (fmt.exp_bits, fmt.man_bits)
+    c = _FORMAT_CONSTANTS.get(key)
+    if c is None:
+        c = (np.int32(fmt.emin + 1023), np.int32(fmt.emax + 1023),
+             np.int32(fmt.man_bits + 1023), fmt.max_value)
+        _FORMAT_CONSTANTS[key] = c
+    return c
+
+
+_ROUND = {
+    RoundingMode.NEAREST_EVEN: np.rint,
+    RoundingMode.TOWARD_ZERO: np.trunc,
+    RoundingMode.UP: np.ceil,
+    RoundingMode.DOWN: np.floor,
+}
+
+
 def quantize(
     x: ArrayLike,
     fmt: FPFormat,
     rounding: str = RoundingMode.NEAREST_EVEN,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Round ``x`` to the nearest value representable in ``fmt``.
 
@@ -58,76 +92,112 @@ def quantize(
         Target format.
     rounding:
         One of :class:`RoundingMode`.
+    out:
+        Destination array of ``x``'s shape; may be ``x`` itself (rounding in
+        place).  ``None`` allocates a fresh result.
 
     Returns
     -------
     numpy.ndarray
         Array of binary64 values, every element exactly representable in
-        ``fmt`` (or ±inf on overflow, NaN propagated).  Scalars come back as
-        0-d arrays; use ``float(...)`` if a Python float is needed.
+        ``fmt`` (or ±inf on overflow; NaN and ±inf inputs pass through
+        unchanged).  Scalars come back as 0-d arrays; use ``float(...)`` if
+        a Python float is needed.
+
+    Each lane is scaled by a power of two so that the last fraction bit
+    ``fmt`` keeps sits at the units place, rounded to an integer and scaled
+    back: with ``E`` the binary64 exponent of ``x`` (read from its exponent
+    field) and ``Eeff = max(E, emin)``, the result is
+    ``round(x * 2**(man_bits - Eeff)) * 2**(Eeff - man_bits)``.  Both
+    scalings are exact :func:`numpy.ldexp` calls; the clamp at ``emin``
+    gives gradual underflow, and signed zeros and underflow to ±0 come out
+    of the rounding itself.  Only lanes at or
+    beyond ``2**emax`` (including non-finite ones) take a guarded branch:
+    non-finite inputs are passed through and magnitudes beyond
+    ``max_value`` are clamped as IEEE-754 / MPFR do for the rounding mode.
     """
-    if rounding not in RoundingMode.ALL:
+    rnd = _ROUND.get(rounding)
+    if rnd is None:
         raise ValueError(f"unknown rounding mode: {rounding!r}")
-
     arr = np.asarray(x, dtype=np.float64)
-    if fmt.is_fp64() and rounding == RoundingMode.NEAREST_EVEN:
-        return arr.copy()
-
-    out = arr.copy()
-    finite = np.isfinite(arr) & (arr != 0.0)
-    if not np.any(finite):
+    if out is None:
+        out = np.empty_like(arr)
+    if arr.size == 0 or (fmt.is_fp64() and rounding == RoundingMode.NEAREST_EVEN):
+        if out is not arr:
+            np.copyto(out, arr)
         return out
+    result = out
+    if arr.ndim == 0:
+        # ufuncs return scalars on 0-d operands: round through 1-element views
+        arr, out = arr.reshape(1), out.reshape(1)
 
-    vals = arr[finite]
-    sign = np.signbit(vals)
-    mag = np.abs(vals)
-
-    # Decompose |x| = m * 2**e with m in [0.5, 1).  The unbiased exponent of
-    # the leading significand bit is then E = e - 1 and the significand is
-    # s = 2*m in [1, 2).
-    m, e = np.frexp(mag)
-    E = e - 1
-
-    # Effective precision: man_bits fraction bits for normals; values whose
-    # exponent falls below emin lose one bit per binade (gradual underflow).
-    prec = fmt.man_bits - np.maximum(fmt.emin - E, 0)
-
-    # Scale so the last retained fraction bit sits at the units place:
-    # scaled = s * 2**prec = m * 2**(prec + 1).
-    scaled = np.ldexp(m, prec + 1)
-    if rounding == RoundingMode.NEAREST_EVEN:
-        rounded = np.rint(scaled)
-    elif rounding == RoundingMode.TOWARD_ZERO:
-        rounded = np.trunc(scaled)
-    elif rounding == RoundingMode.UP:
-        rounded = np.where(sign, np.floor(scaled), np.ceil(scaled))
-    else:  # DOWN
-        rounded = np.where(sign, np.ceil(scaled), np.floor(scaled))
-
-    q = np.ldexp(rounded, E - prec)
-    q = np.where(sign, -q, q)
-
-    # Overflow handling: magnitudes beyond the largest finite value become
-    # ±inf under nearest/away-from-zero directions, and are clamped to the
-    # largest finite value under toward-zero (as in IEEE-754 / MPFR).
-    over = np.abs(q) > fmt.max_value
-    if np.any(over):
-        if rounding == RoundingMode.TOWARD_ZERO:
-            q = np.where(over, np.copysign(fmt.max_value, q), q)
-        elif rounding == RoundingMode.UP:
-            q = np.where(over & ~sign, np.inf, q)
-            q = np.where(over & sign, -fmt.max_value, q)
-        elif rounding == RoundingMode.DOWN:
-            q = np.where(over & sign, -np.inf, q)
-            q = np.where(over & ~sign, fmt.max_value, q)
+    lo, risky_at, fwd, max_value = _constants(fmt)
+    # biased exponent as int32 (numpy's ldexp is many times slower on int64
+    # exponents), clamped at emin: Eeff
+    e = np.right_shift(arr.view(np.int64), 52, out=np.empty(arr.shape, np.int32))
+    np.bitwise_and(e, 0x7FF, out=e)
+    np.maximum(e, lo, out=e)
+    special = None
+    risky = e.max() >= risky_at
+    if risky:
+        # lanes that may overflow the format, or are not finite: read the
+        # input before ``out`` (possibly ``arr`` itself) is written
+        special = ~np.isfinite(arr)
+        if special.any():
+            saved = arr[special]
+            arr = np.where(special, 0.0, arr)
         else:
-            q = np.where(over, np.copysign(np.inf, q), q)
+            special = None
 
-    # Preserve the sign of values that underflowed to zero.
-    q = np.where((q == 0.0) & sign, -0.0, q)
+    # scale by 2**(man_bits - Eeff), round, and scale back
+    np.subtract(fwd, e, out=e)
+    np.ldexp(arr, e, out=out)
+    rnd(out, out=out)
+    np.negative(e, out=e)
+    np.ldexp(out, e, out=out)
 
-    out[finite] = q
-    return out
+    if risky:
+        over = np.abs(out) > max_value
+        if over.any():
+            sign = np.signbit(out)
+            if rounding == RoundingMode.TOWARD_ZERO:
+                clamp = np.copysign(max_value, out)
+            elif rounding == RoundingMode.UP:
+                clamp = np.where(sign, -max_value, np.inf)
+            elif rounding == RoundingMode.DOWN:
+                clamp = np.where(sign, -np.inf, max_value)
+            else:
+                clamp = np.copysign(np.inf, out)
+            np.copyto(out, clamp, where=over)
+        if special is not None:
+            out[special] = saved
+    return result
+
+
+#: quantised scalars, keyed by (exp_bits, man_bits, rounding, value); cleared
+#: when full, as per-step scalars (``dt / dx``…) arrive next to the literals
+_CONSTS: dict = {}
+_CONSTS_MAX = 4096
+
+
+def quantize_const(x: float, fmt: FPFormat, rounding: str = RoundingMode.NEAREST_EVEN) -> float:
+    """``float(quantize(x, fmt, rounding))`` for a Python scalar, cached.
+
+    Kernels bring their literals (``2.0``, ``1.0 / 6.0``…) into the format on
+    every call; this is the one cache behind ``TruncatedContext.const`` and
+    the fused kernels' ``Rounder.const``.  Values are Python floats, so no
+    caller can mutate a cached entry.  Zeros (``-0.0 == 0.0``) and NaN are
+    never cached.
+    """
+    key = (fmt.exp_bits, fmt.man_bits, rounding, x)
+    v = _CONSTS.get(key)
+    if v is None:
+        v = float(quantize(x, fmt, rounding))
+        if x != 0.0 and x == x:
+            if len(_CONSTS) >= _CONSTS_MAX:
+                _CONSTS.clear()
+            _CONSTS[key] = v
+    return v
 
 
 def quantize_like(x: ArrayLike, fmt: FPFormat, template: np.ndarray) -> np.ndarray:

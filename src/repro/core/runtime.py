@@ -97,6 +97,16 @@ class MemCounters:
         return self.truncated / total if total else 0.0
 
 
+def _finite_sum_max(err: Optional[np.ndarray]) -> Tuple[float, float]:
+    """Sum and maximum of the finite entries of ``err`` (zeros when none)."""
+    if err is None or not np.size(err):
+        return 0.0, 0.0
+    finite = np.asarray(err)[np.isfinite(err)]
+    if not finite.size:
+        return 0.0, 0.0
+    return float(np.sum(finite)), float(np.max(finite))
+
+
 class RaptorRuntime:
     """Collects all profiling data for one experiment.
 
@@ -129,47 +139,52 @@ class RaptorRuntime:
         """Record ``n`` scalar operations executed at truncated precision."""
         if n <= 0:
             return
+        n = int(n)
+        if location is not None:
+            # the error summaries and the interning need no runtime lock
+            ident = self.registry.intern(location)
+            abs_sum, abs_max = _finite_sum_max(abs_err)
+            rel_sum, rel_max = _finite_sum_max(rel_err)
         with self._lock:
-            self.ops.truncated += int(n)
+            self.ops.truncated += n
             if module is not None:
-                self._per_module_ops.setdefault(module, OpCounters()).truncated += int(n)
+                self._module_counters(module).truncated += n
             if location is not None:
-                ident = self.registry.intern(location)
-                stats = self._per_location.setdefault(ident, OpStats())
-                abs_sum = abs_max = rel_sum = rel_max = 0.0
-                if abs_err is not None and np.size(abs_err):
-                    finite = np.asarray(abs_err)[np.isfinite(abs_err)]
-                    if finite.size:
-                        abs_sum = float(np.sum(finite))
-                        abs_max = float(np.max(finite))
-                if rel_err is not None and np.size(rel_err):
-                    finite = np.asarray(rel_err)[np.isfinite(rel_err)]
-                    if finite.size:
-                        rel_sum = float(np.sum(finite))
-                        rel_max = float(np.max(finite))
+                stats = self._per_location.get(ident)
+                if stats is None:
+                    stats = self._per_location[ident] = OpStats()
                 stats.update(n, abs_sum, abs_max, rel_sum, rel_max, flagged)
 
     def record_full_ops(self, n: int, module: Optional[str] = None) -> None:
         """Record ``n`` scalar operations executed at full (FP64) precision."""
         if n <= 0:
             return
+        n = int(n)
         with self._lock:
-            self.ops.full += int(n)
+            self.ops.full += n
             if module is not None:
-                self._per_module_ops.setdefault(module, OpCounters()).full += int(n)
+                self._module_counters(module).full += n
+
+    def _module_counters(self, module: str) -> OpCounters:
+        counters = self._per_module_ops.get(module)
+        if counters is None:
+            counters = self._per_module_ops[module] = OpCounters()
+        return counters
 
     # ------------------------------------------------------------------
     # memory accounting
     # ------------------------------------------------------------------
     def record_truncated_bytes(self, n: int) -> None:
         if n > 0:
+            n = int(n)
             with self._lock:
-                self.mem.truncated += int(n)
+                self.mem.truncated += n
 
     def record_full_bytes(self, n: int) -> None:
         if n > 0:
+            n = int(n)
             with self._lock:
-                self.mem.full += int(n)
+                self.mem.full += n
 
     # ------------------------------------------------------------------
     # queries

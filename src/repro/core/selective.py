@@ -83,29 +83,34 @@ class TruncationPolicy:
     def _full_context(self, module: Optional[str]) -> FPContext:
         ctx = self._full_contexts.get(module)
         if ctx is None:
-            from ..kernels.dispatch import select_context
-
-            count = self.config.count_ops if self.config is not None else True
-            track = self.config.track_memory if self.config is not None else True
-            ctx = select_context(
-                FullPrecisionContext(
-                    runtime=self.runtime, count_ops=count, track_memory=track, module=module
-                ),
-                self.plane,
-            )
+            ctx = self._build_full_context(module, self.runtime)
             self._full_contexts[module] = ctx
         return ctx
 
-    def full_context(self, module: Optional[str] = None) -> FPContext:
-        """The full-precision context of this policy for ``module``, on the
-        policy's kernel plane — for code that always runs untruncated but
-        should still ride the fast plane when the policy selects it.
+    def _build_full_context(self, module: Optional[str], runtime: RaptorRuntime) -> FPContext:
+        from ..kernels.dispatch import select_context
 
-        The context is bound to the **policy's** runtime.  Callers that
-        count into a per-run runtime the policy was not built on must
-        instead build their own context and route it through
-        :func:`repro.kernels.select_context` with this policy's ``plane``
-        (see the burn context in ``repro.workloads.cellular``)."""
+        count = self.config.count_ops if self.config is not None else True
+        track = self.config.track_memory if self.config is not None else True
+        return select_context(
+            FullPrecisionContext(runtime=runtime, count_ops=count, track_memory=track, module=module),
+            self.plane,
+        )
+
+    def full_context(
+        self, module: Optional[str] = None, runtime: Optional[RaptorRuntime] = None
+    ) -> FPContext:
+        """The full-precision context of this policy for ``module``, on the
+        policy's kernel plane and with its counting flags — for code that
+        always runs untruncated but should still ride the fast plane when
+        the policy selects it.
+
+        The context is bound to the policy's runtime and cached.  Passing
+        ``runtime`` builds a fresh, uncached context that counts into that
+        runtime instead (e.g. a per-run runtime the policy was not built
+        on, as the burn context in ``repro.workloads.cellular``)."""
+        if runtime is not None and runtime is not self.runtime:
+            return self._build_full_context(module, runtime)
         return self._full_context(module)
 
     def _truncated_context(self, module: Optional[str]) -> FPContext:

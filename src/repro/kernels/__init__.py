@@ -18,9 +18,9 @@ on:
   allocation, bit-identical to the instrumented plane, and
 * the **fused truncating fast plane** — :class:`TruncFastPlaneContext`:
   optimized truncating contexts run the *same* fused kernels with the
-  truncating rounding hook of :mod:`repro.kernels.trunc`, a vectorised
-  quantisation at exactly the op boundaries the instrumented plane rounds
-  at, bit-identical to the optimized op-by-op truncating path; counting
+  truncating rounding hook of :mod:`repro.kernels.trunc`, an in-place
+  :func:`repro.core.quantize.quantize` (``out=``) at exactly the op
+  boundaries the instrumented plane rounds at, bit-identical to the optimized op-by-op truncating path; counting
   ones keep their counters (op-by-op, except the hydro block update,
   which runs fused and charges the instrumented tally).
 

@@ -11,10 +11,11 @@ dispatch layer routes eligible truncating contexts onto:
   binary64 fast plane: ``q(a)`` and ``q.lift`` return their input object,
   ``q.const``/``q.dyn`` return their argument, so a kernel evaluates
   exactly the ufuncs it would evaluate without the hook;
-* :class:`Rounder` — vectorised :func:`repro.core.quantize.quantize`
-  rounding at **exactly the op boundaries** the instrumented plane rounds
-  at, in place through :func:`quantize_into` — truncation only, no
-  counters;
+* :class:`Rounder` — :func:`repro.core.quantize.quantize` rounding, in
+  place (``out=``), at **exactly the op boundaries** the instrumented
+  plane rounds at — truncation only, no counters; its literals come from
+  the same :func:`~repro.core.quantize.quantize_const` cache as
+  ``TruncatedContext.const``;
 * :class:`TruncFastPlaneContext` — the truncating context that carries a
   :class:`Rounder` onto the fused kernels (counting or not: a counting one
   records exactly what the instrumented context records).
@@ -47,13 +48,13 @@ relies on).  The kernels reproduce that op stream term for term:
 """
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..core.fpformat import FPFormat
 from ..core.opmode import TruncatedContext
-from ..core.quantize import RoundingMode, quantize
+from ..core.quantize import RoundingMode, quantize, quantize_const
 from .scratch import Workspace
 from .scratch import out_accessor as _o
 
@@ -62,150 +63,7 @@ __all__ = [
     "ExactRounder",
     "Rounder",
     "TruncFastPlaneContext",
-    "quantize_into",
 ]
-
-#: scratch key family reserved for :func:`quantize_into` intermediates —
-#: no quantisation scratch survives a call, so one family is shared by
-#: every call site (kernel buffers use their own keys and never collide)
-_QZ = "qz"
-
-#: per-format scalar cache: (exp_bits, man_bits) -> (emin, man_bits, max_value)
-#: — the FPFormat properties recompute these from the bias on every access,
-#: which is measurable at quantise-per-op call rates
-_FMT_CACHE: Dict[Tuple[int, int], Tuple[int, int, float]] = {}
-
-
-def _fmt_scalars(fmt: FPFormat) -> Tuple[int, int, float]:
-    key = (fmt.exp_bits, fmt.man_bits)
-    v = _FMT_CACHE.get(key)
-    if v is None:
-        v = (fmt.emin, fmt.man_bits, fmt.max_value)
-        _FMT_CACHE[key] = v
-    return v
-
-
-# ---------------------------------------------------------------------------
-# buffered quantisation
-# ---------------------------------------------------------------------------
-def quantize_into(
-    arr: np.ndarray,
-    fmt: FPFormat,
-    rounding: str = RoundingMode.NEAREST_EVEN,
-    ws: Optional[Workspace] = None,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """:func:`repro.core.quantize.quantize`, bit-identical, with scratch.
-
-    Evaluates the same decompose/round/recompose formulas as ``quantize``
-    on **all** lanes (every step is element-wise, so finite lanes see the
-    same bits as the compressed-subset original; non-finite and zero lanes
-    are restored from ``arr`` at the end), writing every intermediate into
-    preallocated workspace buffers instead of allocating ~a dozen
-    temporaries per call.  ``out`` may be ``arr`` itself (the hot in-place
-    case: all reads of ``arr`` precede the single masked write) or any
-    non-overlapping array; ``None`` allocates a fresh result.
-    """
-    if rounding not in RoundingMode.ALL:
-        raise ValueError(f"unknown rounding mode: {rounding!r}")
-    arr = np.asarray(arr, dtype=np.float64)
-    shp = arr.shape
-    if fmt.is_fp64() and rounding == RoundingMode.NEAREST_EVEN:
-        if out is None:
-            return arr.copy()
-        if out is not arr:
-            np.copyto(out, arr)
-        return out
-
-    if ws is None:
-        # no workspace: fall back to fresh buffers (frexp/ldexp need real
-        # out arrays — the chain reads them back)
-        o = lambda key, shape, dtype=np.float64: np.empty(shape, np.dtype(dtype))
-    else:
-        o = _o(ws)
-    fmt_emin, fmt_man_bits, fmt_max_value = _fmt_scalars(fmt)
-    finite = np.isfinite(arr, out=o((_QZ, "fin"), shp, bool))
-    mask = np.not_equal(arr, 0.0, out=o((_QZ, "msk"), shp, bool))
-    np.logical_and(finite, mask, out=finite)
-    if not finite.any():
-        if out is None:
-            return arr.copy()
-        if out is not arr:
-            np.copyto(out, arr)
-        return out
-
-    sign = np.signbit(arr, out=o((_QZ, "sgn"), shp, bool))
-    mag = np.abs(arr, out=o((_QZ, "mag"), shp))
-
-    # The formulas run on non-finite lanes too (restored below), so ldexp
-    # overflow / frexp-of-inf warnings that the compressed original never
-    # sees must be silenced; the finite-lane values are unaffected.
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = o((_QZ, "m"), shp)
-        e = o((_QZ, "e"), shp, np.int32)
-        np.frexp(mag, m, e)
-        E = np.subtract(e, 1, out=e)
-        prec = np.subtract(fmt_emin, E, out=o((_QZ, "p"), shp, np.int32))
-        np.maximum(prec, 0, out=prec)
-        np.subtract(fmt_man_bits, prec, out=prec)
-        p1 = np.add(prec, 1, out=o((_QZ, "p1"), shp, np.int32))
-        scaled = np.ldexp(m, p1, out=m)
-        if rounding == RoundingMode.NEAREST_EVEN:
-            rounded = np.rint(scaled, out=scaled)
-        elif rounding == RoundingMode.TOWARD_ZERO:
-            rounded = np.trunc(scaled, out=scaled)
-        elif rounding == RoundingMode.UP:
-            other = np.floor(scaled, out=o((_QZ, "aux"), shp))
-            rounded = np.ceil(scaled, out=scaled)
-            np.copyto(rounded, other, where=sign)
-        else:  # DOWN
-            other = np.ceil(scaled, out=o((_QZ, "aux"), shp))
-            rounded = np.floor(scaled, out=scaled)
-            np.copyto(rounded, other, where=sign)
-        expo = np.subtract(E, prec, out=E)
-        q = np.ldexp(rounded, expo, out=rounded)
-        neg = np.negative(q, out=o((_QZ, "aux"), shp))
-        np.copyto(q, neg, where=sign)
-
-        absq = np.abs(q, out=o((_QZ, "aux"), shp))
-        over = np.greater(absq, fmt_max_value, out=mask)
-        if over.any():
-            if rounding == RoundingMode.TOWARD_ZERO:
-                clamp = np.copysign(fmt_max_value, q, out=absq)
-                np.copyto(q, clamp, where=over)
-            elif rounding == RoundingMode.UP:
-                pos = np.logical_not(sign, out=o((_QZ, "b2"), shp, bool))
-                np.logical_and(over, pos, out=pos)
-                np.copyto(q, np.inf, where=pos)
-                np.logical_and(over, sign, out=over)
-                np.copyto(q, -fmt_max_value, where=over)
-            elif rounding == RoundingMode.DOWN:
-                neg_over = np.logical_and(over, sign, out=o((_QZ, "b2"), shp, bool))
-                np.copyto(q, -np.inf, where=neg_over)
-                pos = np.logical_not(sign, out=o((_QZ, "b3"), shp, bool))
-                np.logical_and(over, pos, out=pos)
-                np.copyto(q, fmt_max_value, where=pos)
-            else:
-                clamp = np.copysign(np.inf, q, out=absq)
-                np.copyto(q, clamp, where=over)
-
-        zero = np.equal(q, 0.0, out=mask)
-        np.logical_and(zero, sign, out=zero)
-        np.copyto(q, -0.0, where=zero)
-
-    if out is None:
-        out = arr.copy()
-    elif out is not arr:
-        np.copyto(out, arr)
-    np.copyto(out, q, where=finite)
-    return out
-
-
-#: quantised scalar constants, keyed by (format, rounding, value) —
-#: bounded: only the literal stencil/EOS constants land here (per-step
-#: values like dt/dx go through the uncached ``Rounder.dyn``)
-_CONST_CACHE: Dict[Tuple[int, int, str, float], float] = {}
-
 
 # ---------------------------------------------------------------------------
 # the rounding hooks
@@ -253,7 +111,7 @@ class Rounder:
     scratch buffer ``key``; :meth:`const` is the cached twin of
     ``TruncatedContext.const`` for literals and :meth:`dyn` the uncached one
     for per-step scalars.  Kernels :meth:`bind` the hook to their workspace
-    so the quantisation intermediates are scratch-buffered too.
+    so :meth:`lift` targets are scratch-buffered too.
     """
 
     __slots__ = ("fmt", "rounding", "ws")
@@ -273,26 +131,22 @@ class Rounder:
         return ("trunc", self.fmt.exp_bits, self.fmt.man_bits, self.rounding)
 
     def bind(self, ws: Optional[Workspace]) -> "Rounder":
-        """This hook with its quantisation scratch in ``ws``."""
+        """This hook with its :meth:`lift` buffers in ``ws``."""
         return self if ws is self.ws else Rounder(self.fmt, self.rounding, ws)
 
     def __call__(self, arr: np.ndarray) -> np.ndarray:
-        return quantize_into(arr, self.fmt, self.rounding, self.ws, out=arr)
+        return quantize(arr, self.fmt, self.rounding, out=arr)
 
     def lift(self, arr: np.ndarray, key=()) -> np.ndarray:
         """``arr`` rounded into the scratch buffer ``key`` — the twin of a
         ``ctx.const(array)`` region-entry conversion."""
         out = _o(self.ws)(key, np.shape(arr))
-        return quantize_into(arr, self.fmt, self.rounding, self.ws, out=out)
+        return quantize(arr, self.fmt, self.rounding, out=out)
 
     def const(self, x: float) -> float:
-        """Cached quantised literal — the twin of ``TruncatedContext.const``."""
-        key = (self.fmt.exp_bits, self.fmt.man_bits, self.rounding, x)
-        v = _CONST_CACHE.get(key)
-        if v is None:
-            v = float(quantize(x, self.fmt, self.rounding))
-            _CONST_CACHE[key] = v
-        return v
+        """Cached quantised literal — the twin of ``TruncatedContext.const``
+        (both read :func:`repro.core.quantize.quantize_const`)."""
+        return quantize_const(x, self.fmt, self.rounding)
 
     def dyn(self, x: float) -> float:
         """Uncached quantised scalar for per-step values (``dt/dx``…)."""

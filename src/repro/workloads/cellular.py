@@ -23,12 +23,11 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..burn.network import CarbonBurnNetwork
-from ..core.opmode import FPContext, FullPrecisionContext
+from ..core.opmode import FPContext
 from ..core.runtime import RaptorRuntime
 from ..core.selective import ModulePolicy, NoTruncationPolicy, TruncationPolicy
 from ..eos.newton import NewtonSolverConfig, invert_energy
 from ..eos.table import HelmholtzTable
-from ..kernels import select_context
 from .registry import register_workload
 from .scenario import Outcome, Scenario
 
@@ -174,13 +173,11 @@ class CellularWorkload(Scenario):
         rt = runtime if runtime is not None else RaptorRuntime(self.name)
         pol = policy if policy is not None else NoTruncationPolicy(runtime=rt)
         eos_ctx = pol.context_for(module="eos")
-        # burning always runs untruncated, counted on *this run's* runtime
-        # (the policy may have been built on another), but on the policy's
-        # kernel plane so fast-plane reference runs stay fused end to end
-        burn_ctx = select_context(
-            FullPrecisionContext(runtime=rt, module="burn"),
-            getattr(pol, "plane", "auto"),
-        )
+        # burning always runs untruncated, counted as the policy counts on
+        # *this run's* runtime (the policy may have been built on another),
+        # and on the policy's kernel plane so fast-plane reference runs stay
+        # fused end to end
+        burn_ctx = pol.full_context("burn", runtime=rt)
 
         state = self._initial_state()
         dx = cfg.length / cfg.n_cells

@@ -20,13 +20,18 @@ from repro.core import FPFormat, RoundingMode, quantize
 from repro.core.softfloat import exact_quantize
 
 # small formats put the underflow boundary within easy reach; e5m10/e8m7 are
-# fp16/bf16, e4m3/e5m2 are the FP8 pair, e8m10 is the paper's sweep format
+# fp16/bf16, e4m3/e5m2 are the FP8 pair, e8m10 is the paper's sweep format;
+# the 11-bit exponents are the cliff-search formats, whose subnormals are
+# binary64 subnormals and whose quantisation scales through ldexp
 FORMATS = [
     FPFormat(exp_bits=4, man_bits=3),
     FPFormat(exp_bits=5, man_bits=2),
     FPFormat(exp_bits=5, man_bits=10),
     FPFormat(exp_bits=8, man_bits=7),
     FPFormat(exp_bits=8, man_bits=10),
+    FPFormat(exp_bits=11, man_bits=20),
+    FPFormat(exp_bits=11, man_bits=46),
+    FPFormat(exp_bits=11, man_bits=52),
 ]
 FORMAT_IDS = [f"e{f.exp_bits}m{f.man_bits}" for f in FORMATS]
 ROUNDINGS = list(RoundingMode.ALL)
@@ -42,6 +47,15 @@ def assert_same_bits(x, fmt, rounding):
     ), f"quantize({x!r}, {fmt.spec}, {rounding}) = {got!r}, oracle says {want!r}"
 
 
+def _grid_indices(top):
+    """Every grid index up to ``4 * top``, or — for formats whose subnormal
+    grid is too fine to walk (``top = 2**man_bits``) — the indices around
+    zero, ``min_normal`` and ``4 * min_normal``."""
+    if top <= 1024:
+        return range(0, 4 * top + 1)
+    return [*range(0, 129), *range(top - 128, top + 129), *range(4 * top - 128, 4 * top + 1)]
+
+
 # ---------------------------------------------------------------------------
 # dense deterministic sweep across the underflow boundary
 # ---------------------------------------------------------------------------
@@ -52,7 +66,7 @@ def test_subnormal_grid_and_midpoints(fmt, rounding):
     halfway points between them where ties-to-even decides."""
     step = fmt.min_subnormal
     top = int(round(fmt.min_normal / step))
-    for n in range(0, 4 * top + 1):
+    for n in _grid_indices(top):
         for x in (n * step, (n + 0.5) * step, (n + 0.25) * step):
             assert_same_bits(x, fmt, rounding)
             assert_same_bits(-x, fmt, rounding)
@@ -111,6 +125,19 @@ def test_random_values_near_emin_match_oracle(fmt, rounding, mantissa, sign):
 )
 @settings(max_examples=400, deadline=None)
 def test_arbitrary_doubles_match_oracle(fmt, rounding, x):
+    assert_same_bits(x, fmt, rounding)
+
+
+@given(
+    fmt=st.sampled_from(FORMATS),
+    rounding=st.sampled_from(ROUNDINGS),
+    fraction=st.integers(min_value=1, max_value=2**52 - 1),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+@settings(max_examples=400, deadline=None)
+def test_binary64_subnormals_match_oracle(fmt, rounding, fraction, sign):
+    """Inputs whose binary64 exponent field is zero."""
+    x = sign * float(np.array(fraction, dtype=np.int64).view(np.float64))
     assert_same_bits(x, fmt, rounding)
 
 

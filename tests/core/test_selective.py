@@ -33,6 +33,22 @@ class TestNoTruncationPolicy:
         assert not pol.should_truncate(module="hydro", level=1, max_level=4)
         assert isinstance(pol.context_for(module="hydro"), FullPrecisionContext)
 
+    @pytest.mark.parametrize("counting", [True, False])
+    def test_full_context_on_another_runtime(self, runtime, counting):
+        pol = NoTruncationPolicy(
+            runtime=runtime, count_ops=counting, track_memory=counting, plane="instrumented"
+        )
+        own = pol.full_context("burn")
+        assert pol.full_context("burn", runtime=runtime) is own
+        other = RaptorRuntime("per-run")
+        ctx = pol.full_context("burn", runtime=other)
+        assert ctx is not own and ctx is not pol.full_context("burn", runtime=other)
+        assert ctx.runtime is other and ctx.module == "burn"
+        assert ctx.count_ops is counting and ctx.track_memory is counting
+        ctx.add(np.ones(4), np.ones(4))
+        assert runtime.ops.total == 0
+        assert other.ops.total == (4 if counting else 0)
+
 
 class TestGlobalPolicy:
     def test_truncates_everything(self, runtime, cfg):

@@ -3,10 +3,11 @@ with the truncating rounding hook of repro.kernels.trunc.
 
 The load-bearing contracts:
 
-* :func:`quantize_into` is **bitwise identical** to
-  :func:`repro.core.quantize.quantize` — workspace or not, in place or
-  not — including signed zeros, non-finite lanes, subnormals and the
-  directed-rounding overflow clamps;
+* :func:`repro.core.quantize.quantize` with ``out=`` (a separate array or
+  the input itself, as the :class:`Rounder` hook rounds) is **bitwise
+  identical** to the allocating call and to the exact ``Fraction`` oracle —
+  including signed zeros, NaN payloads, non-finite lanes, subnormals and
+  the directed-rounding overflow clamps;
 * every fused kernel (stencils, EOS helpers, wave speeds, Riemann
   solvers) run with a :class:`Rounder` reproduces the optimized
   instrumented :class:`TruncatedContext` stream bit for bit on
@@ -39,6 +40,7 @@ from repro.core import (
     TruncationConfig,
     quantize,
 )
+from repro.core.softfloat import exact_quantize
 from repro.hydro.eos import GammaLawEOS
 from repro.hydro.reconstruction import SCHEMES, _weno5_edge, reconstruct
 from repro.hydro.riemann import SOLVERS, _einfeldt_wave_speeds, _wave_speeds
@@ -52,7 +54,7 @@ from repro.kernels import (
     select_context,
 )
 from repro.kernels.scratch import Workspace
-from repro.kernels.trunc import EXACT, Rounder, quantize_into
+from repro.kernels.trunc import EXACT, Rounder
 
 GAMMA = 1.4
 COMPONENTS = ("dens", "momn", "momt", "ener")
@@ -88,14 +90,19 @@ def _fast(fmt=E8M10, rounding=RoundingMode.NEAREST_EVEN):
 
 
 # ---------------------------------------------------------------------------
-# quantize_into
+# quantize(..., out=)
 # ---------------------------------------------------------------------------
 all_doubles = st.lists(
     st.floats(allow_nan=True, allow_infinity=True, width=64), min_size=1, max_size=24
 ).map(lambda xs: np.asarray(xs, dtype=np.float64))
 
 
-class TestQuantizeInto:
+def _oracle(arr, fmt, rounding):
+    """Element-wise exact_quantize (the Fraction oracle), NaN lanes as given."""
+    return np.array([x if np.isnan(x) else exact_quantize(x, fmt, rounding) for x in arr])
+
+
+class TestQuantizeOut:
     @given(
         arr=all_doubles,
         fmt=st.sampled_from(FORMATS),
@@ -104,13 +111,15 @@ class TestQuantizeInto:
     @settings(max_examples=120, deadline=None)
     def test_bitwise_equal_to_quantize(self, arr, fmt, rounding):
         expected = quantize(arr, fmt, rounding)
-        for ws in (None, Workspace()):
-            got = quantize_into(arr.copy(), fmt, rounding, ws)
+        # the bit patterns must agree (signed zeros, NaN payloads), with
+        # the Fraction oracle too
+        np.testing.assert_array_equal(
+            expected.view(np.uint64), _oracle(arr, fmt, rounding).view(np.uint64)
+        )
+        for out in (None, np.empty_like(arr)):
+            got = quantize(arr.copy(), fmt, rounding, out=out)
             np.testing.assert_array_equal(got, expected)
-            # the bit patterns must agree too (signed zeros, NaN lanes)
-            np.testing.assert_array_equal(
-                got.view(np.uint64), np.asarray(expected).view(np.uint64)
-            )
+            np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     @given(
         arr=all_doubles,
@@ -120,20 +129,21 @@ class TestQuantizeInto:
     @settings(max_examples=60, deadline=None)
     def test_in_place_and_out_variants(self, arr, fmt, rounding):
         expected = np.asarray(quantize(arr, fmt, rounding))
-        ws = Workspace()
         inplace = arr.copy()
-        assert quantize_into(inplace, fmt, rounding, ws, out=inplace) is inplace
+        assert quantize(inplace, fmt, rounding, out=inplace) is inplace
         np.testing.assert_array_equal(inplace.view(np.uint64), expected.view(np.uint64))
         dest = np.full_like(arr, 3.25)
-        assert quantize_into(arr.copy(), fmt, rounding, ws, out=dest) is dest
+        src = arr.copy()
+        assert quantize(src, fmt, rounding, out=dest) is dest
         np.testing.assert_array_equal(dest.view(np.uint64), expected.view(np.uint64))
+        np.testing.assert_array_equal(src.view(np.uint64), arr.view(np.uint64))
 
     @given(arr=all_doubles, fmt=st.sampled_from(FORMATS), rounding=st.sampled_from(ROUNDINGS))
     @settings(max_examples=40, deadline=None)
     def test_idempotent(self, arr, fmt, rounding):
-        ws = Workspace()
-        once = quantize_into(arr.copy(), fmt, rounding, ws)
-        twice = quantize_into(once.copy(), fmt, rounding, ws)
+        once = quantize(arr.copy(), fmt, rounding)
+        twice = once.copy()
+        quantize(twice, fmt, rounding, out=twice)
         np.testing.assert_array_equal(
             twice.view(np.uint64), once.view(np.uint64)
         )
@@ -141,31 +151,79 @@ class TestQuantizeInto:
     def test_special_lanes_restored(self):
         arr = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 1.0 / 3.0])
         for rounding in ROUNDINGS:
-            got = quantize_into(arr.copy(), BF16, rounding, Workspace())
+            got = arr.copy()
+            quantize(got, BF16, rounding, out=got)
             assert got[0] == np.inf and got[1] == -np.inf and np.isnan(got[2])
             assert got[3] == 0.0 and not np.signbit(got[3])
             assert got[4] == 0.0 and np.signbit(got[4])
             assert got[5] == float(quantize(1.0 / 3.0, BF16, rounding))
 
+    def test_nan_payloads_pass_through(self):
+        """Quiet, negative and signalling NaNs come back bit for bit, with
+        no floating-point warning, next to lanes that overflow."""
+        import warnings
+
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000abc, 0x7FF0000000000001],
+                        dtype=np.uint64).view(np.float64)
+        arr = np.concatenate([nans, [1e300, -1e300, 0.5]])
+        for fmt in (BF16, FPFormat(exp_bits=11, man_bits=20)):
+            for rounding in ROUNDINGS:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = quantize(arr, fmt, rounding)
+                np.testing.assert_array_equal(got[:3].view(np.uint64), nans.view(np.uint64))
+
+    def test_zero_dim_keeps_its_shape(self):
+        for fmt in (BF16, FPFormat(exp_bits=11, man_bits=20)):
+            for rounding in ROUNDINGS:
+                for x in (1.0 / 3.0, np.float64(-0.1), np.asarray(2.5e-40), -0.0, np.inf):
+                    got = quantize(x, fmt, rounding)
+                    assert isinstance(got, np.ndarray) and got.shape == ()
+                    want = exact_quantize(float(x), fmt, rounding)
+                    assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+                    dest = np.array(7.0)
+                    assert quantize(x, fmt, rounding, out=dest) is dest and dest.shape == ()
+                    assert dest.view(np.uint64) == got.view(np.uint64)
+
+    def test_empty_arrays(self):
+        for fmt in (BF16, FPFormat(exp_bits=11, man_bits=20)):
+            for rounding in ROUNDINGS:
+                for shape in ((0,), (3, 0)):
+                    arr = np.empty(shape)
+                    got = quantize(arr, fmt, rounding)
+                    assert got.shape == shape and got is not arr
+                    dest = np.empty(shape)
+                    assert quantize(arr, fmt, rounding, out=dest) is dest
+                    assert quantize(arr, fmt, rounding, out=arr) is arr
+
     def test_fp64_nearest_fast_path_copies(self):
         from repro.core import FP64
 
         arr = np.array([np.pi, -0.0, np.nan])
-        got = quantize_into(arr, FP64, RoundingMode.NEAREST_EVEN, Workspace())
+        got = quantize(arr, FP64, RoundingMode.NEAREST_EVEN)
         assert got is not arr
         np.testing.assert_array_equal(got.view(np.uint64), arr.view(np.uint64))
+        dest = np.empty_like(arr)
+        assert quantize(arr, FP64, RoundingMode.NEAREST_EVEN, out=dest) is dest
+        np.testing.assert_array_equal(dest.view(np.uint64), arr.view(np.uint64))
+        assert quantize(arr, FP64, RoundingMode.NEAREST_EVEN, out=arr) is arr
 
     def test_unknown_rounding_rejected(self):
         with pytest.raises(ValueError, match="rounding"):
-            quantize_into(np.ones(3), BF16, "stochastic")
+            quantize(np.ones(3), BF16, "stochastic")
 
-    def test_workspace_reaches_steady_state(self):
+    def test_rounder_scratch_reaches_steady_state(self):
+        """The hook rounds in place without scratch; ``lift`` reuses one
+        workspace buffer per key."""
         ws = Workspace()
+        q = Rounder(BF16, RoundingMode.UP).bind(ws)
         arr = np.linspace(-2.0, 2.0, 64)
-        quantize_into(arr.copy(), BF16, RoundingMode.UP, ws)
+        q(arr.copy())
+        assert ws.misses == 0 and ws.n_buffers == 0
+        first = q.lift(arr, ("lift", "x"))
         misses = ws.misses
-        assert misses > 0
-        quantize_into(arr.copy(), BF16, RoundingMode.UP, ws)
+        assert misses == 1
+        assert q.lift(arr, ("lift", "x")) is first
         assert ws.misses == misses and ws.hits > 0
 
 
@@ -269,6 +327,26 @@ class TestRoundingHooks:
         assert bound.const(0.1) == bound.dyn(0.1) == float(
             quantize(0.1, BF16, RoundingMode.TOWARD_ZERO))
 
+
+    def test_const_cache_contract(self):
+        """Both contexts read one literal cache: the same bits from
+        ``Rounder.const`` and ``TruncatedContext.const``, a fresh 0-d array
+        per context call (mutating it changes no later call), and signed
+        zeros kept apart."""
+        for fmt in (BF16, E8M10, FPFormat(exp_bits=11, man_bits=20)):
+            for rounding in ROUNDINGS:
+                ctx, q = _instrumented(fmt, rounding), Rounder(fmt, rounding)
+                for x in (2.0, 1.0 / 6.0, 0.1, -13.0 / 12.0, 1e-300, 1e300, 3, 0.0, -0.0):
+                    want = exact_quantize(float(x), fmt, rounding)
+                    got = ctx.const(x)
+                    assert isinstance(got, np.ndarray) and got.shape == ()
+                    for v in (got, q.const(x), q.dyn(x)):
+                        assert np.float64(v).view(np.uint64) == np.float64(want).view(np.uint64)
+                    got += 1.0
+                    again = ctx.const(x)
+                    assert again is not got
+                    assert again.view(np.uint64) == np.float64(want).view(np.uint64)
+                    assert float(q.const(x)) == want
 
 class TestTruncPlaneSelection:
     def test_eligibility_predicate(self):

@@ -196,3 +196,43 @@ class TestBubblePolicyProtocol:
         mods = rt.module_ops()
         assert mods["advection"].truncated > 0
         assert mods.get("diffusion") is None or mods["diffusion"].truncated == 0
+
+
+class TestCellularBurnCounting:
+    """The burn context counts exactly as the policy does: a non-counting
+    reference policy gets a non-counting burn context (no plane warning),
+    a counting probe keeps its burn counters."""
+
+    def test_reference_paths_do_not_warn(self):
+        import warnings
+
+        from repro.experiments.engine import gather_references
+
+        small = CellularWorkload(CellularConfig(n_cells=32, n_steps=4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for plane in ("fast", "auto"):
+                rt = RaptorRuntime()
+                small.reference(plane=plane, runtime=rt)
+                assert rt.ops.total == 0 and rt.mem.total == 0
+            refs = gather_references(["cellular"], lambda name: {"n_cells": 32, "n_steps": 4})
+        assert refs["cellular"].kind == "cellular"
+
+    @pytest.mark.parametrize("counting", [True, False])
+    def test_probe_burn_counters_follow_the_policy(self, counting):
+        from repro.core import ModulePolicy, TruncationConfig
+
+        small = CellularWorkload(CellularConfig(n_cells=32, n_steps=4))
+        rt = RaptorRuntime()
+        policy = ModulePolicy(
+            TruncationConfig.mantissa(30, exp_bits=11, count_ops=counting,
+                                      track_memory=counting),
+            modules=["eos"], runtime=rt,
+        )
+        small.run(policy=policy, runtime=rt)
+        burn = rt.module_ops().get("burn")
+        if counting:
+            assert burn is not None and burn.full > 0 and rt.mem.full > 0
+            assert 0.0 < rt.ops.truncated_fraction < 1.0
+        else:
+            assert burn is None and rt.ops.total == 0 and rt.mem.total == 0
