@@ -21,8 +21,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from ..amr.grid import AMRGrid
-from ..core.runtime import RaptorRuntime
-from ..kernels import FPContext, FullPrecisionContext, ShadowContext, TruncatedContext
+from ..kernels import FPContext, FullPrecisionContext, ShadowContext
 from ..kernels import flux as fused_flux
 from ..kernels import grid as grid_kernels
 from ..kernels.scratch import (
@@ -42,11 +41,6 @@ __all__ = ["HydroSolver", "ContextProvider", "default_context_provider"]
 ContextProvider = Callable[[str, Optional[int], Optional[int]], FPContext]
 
 PRIMITIVE_VARS = ("dens", "velx", "vely", "pres")
-
-
-def _counting(ctx: FPContext) -> bool:
-    """Whether ``ctx`` feeds the op/byte counters."""
-    return ctx.count_ops or ctx.track_memory
 
 
 def default_context_provider(module: str, level=None, max_level=None) -> FPContext:
@@ -123,9 +117,6 @@ class HydroSolver:
             self._workspace: Optional[Workspace] = make_workspace()
         else:
             self._workspace = Workspace() if scratch else None
-        #: (context, block shape) -> the (ops, bytes) one block update
-        #: records on the instrumented plane (see :meth:`advance_block`)
-        self._tallies: Dict[tuple, Tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
     # time step (full-precision diagnostic, as in the paper's fixed-dt runs)
@@ -228,38 +219,21 @@ class HydroSolver:
         path either way.
 
         A *counting* fast-plane context is charged what the instrumented
-        stream records.  That tally depends on block shapes only (every op
-        records ``result.size`` ops and ``8 * (out + inputs)`` bytes, and
-        the hydro stream has no data-dependent branch), so the first block
-        of each (context, shape) runs op-by-op on an instrumented twin
-        counting into a private runtime — its result is the fused one, bit
-        for bit — and every later block runs fused and charges that tally.
+        stream records.  That tally depends on block shapes and the scheme
+        settings only (every op records ``result.size`` ops and
+        ``8 * (out + inputs)`` bytes, and the hydro stream has no
+        data-dependent branch), so the update goes through
+        :meth:`~repro.kernels.trunc.TruncFastPlaneContext.counted`: learnt
+        op-by-op once per :meth:`_tally_key`, fused and charged afterwards.
         """
         if ctx.plane != "fast":
             return self._advance_op_by_op(block, dt, ctx)
-        if _counting(ctx) and self._tally_key(ctx, block) not in self._tallies:
-            return self._advance_tally(block, dt, ctx)
+        if not ctx.fused:
+            return ctx.counted(self._tally_key(block), lambda c: self.advance_block(block, dt, c))
         prims = {name: block.data[name] for name in PRIMITIVE_VARS}
-        new = self._advance_fused(
+        return self._advance_fused(
             prims, dt, block.dx, block.dy, block.ng, block.nxb, block.nyb, ctx.rounder
         )
-        if _counting(ctx):
-            self._charge(ctx, block)
-        return new
-
-    def _advance_tally(self, block, dt: float, ctx: FPContext) -> Dict[str, np.ndarray]:
-        """Advance ``block`` op-by-op on an instrumented twin of the counting
-        fast-plane ``ctx``, memoise the twin's tally and charge it."""
-        twin = TruncatedContext(
-            ctx.fmt, runtime=RaptorRuntime("tally"), module=ctx.module,
-            count_ops=ctx.count_ops, track_memory=ctx.track_memory, rounding=ctx.rounding,
-        )
-        new = self._advance_op_by_op(block, dt, twin)
-        self._tallies[self._tally_key(ctx, block)] = (
-            twin.runtime.ops.truncated, twin.runtime.mem.truncated
-        )
-        self._charge(ctx, block)
-        return new
 
     def _advance_op_by_op(self, block, dt: float, ctx: FPContext) -> Dict[str, np.ndarray]:
         """The instrumented block update: every op dispatched through ``ctx``."""
@@ -335,16 +309,11 @@ class HydroSolver:
             "pres": update_ctx.asplain(new_pres),
         }
 
-    def _tally_key(self, ctx: FPContext, block) -> tuple:
+    def _tally_key(self, block) -> tuple:
         """Everything a block update's instrumented counters depend on
-        besides the solver's fixed scheme, Riemann solver and gravity."""
-        return (ctx, block.ng, block.nxb, block.nyb)
-
-    def _charge(self, ctx: FPContext, block) -> None:
-        """Record one block update's memoised instrumented tally on ``ctx``."""
-        ops, nbytes = self._tallies[self._tally_key(ctx, block)]
-        ctx.runtime.record_truncated_ops(ops, module=ctx.module)
-        ctx.runtime.record_truncated_bytes(nbytes)
+        besides the values: block shape, scheme, Riemann solver, gravity."""
+        return ("hydro.block", self.reconstruction, self.riemann, self.gravity,
+                block.ng, block.nxb, block.nyb)
 
     def _advance_fused(self, prims: Dict, dt: float, dx: float, dy: float,
                        ng: int, nxb: int, nyb: int, q=EXACT) -> Dict[str, np.ndarray]:
@@ -374,8 +343,9 @@ class HydroSolver:
         (element-wise ufuncs are independent per slot, so the batched
         update is bit-identical to the per-block loop); a counting context
         first runs one block per shape through :meth:`advance_block` to
-        learn its tally.  Everything else — instrumented, shadow and
-        counting binary64 contexts — takes the per-block op-by-op path.
+        learn its tally, and is charged it per stacked block.  Everything
+        else — instrumented, shadow and counting binary64 contexts — takes
+        the per-block op-by-op path.
         """
         max_level = grid.finest_level
         keys = grid.sorted_keys()
@@ -392,7 +362,7 @@ class HydroSolver:
                 ctx, block = contexts[key], grid.leaves[key]
                 if ctx.plane != "fast":
                     continue
-                if _counting(ctx) and self._tally_key(ctx, block) not in self._tallies:
+                if not ctx.fused and self._tally_key(block) not in ctx.tallies:
                     updates[key] = self.advance_block(block, dt, ctx)
                 else:
                     batched.setdefault((key[0], *ctx.rounder.sig), []).append(key)
@@ -405,8 +375,8 @@ class HydroSolver:
                 self._advance_level_batched(grid, group, dt, ctx=contexts[group[0]])
             )
             for key in group:
-                if _counting(contexts[key]):
-                    self._charge(contexts[key], grid.leaves[key])
+                if not contexts[key].fused:
+                    contexts[key].charge(self._tally_key(grid.leaves[key]))
         for key in keys:
             if key not in updates:
                 updates[key] = self.advance_block(grid.leaves[key], dt, contexts[key])

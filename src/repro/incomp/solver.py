@@ -276,14 +276,22 @@ class BubbleSolver:
     # ------------------------------------------------------------------
     def _maybe_blend(
         self,
+        name: str,
         op: Callable[[FPContext], np.ndarray],
         ctx: FPContext,
         truncate_mask: Optional[np.ndarray],
     ) -> np.ndarray:
-        """Evaluate ``op`` under ``ctx``; where ``truncate_mask`` is False the
-        full-precision evaluation is used instead (the per-cell analogue of
-        the per-block M − l cutoff)."""
-        truncated = op(ctx)
+        """Evaluate the operator ``op`` under ``ctx``; where
+        ``truncate_mask`` is False the full-precision evaluation is used
+        instead (the per-cell analogue of the per-block M − l cutoff).  On
+        the fused bubble plane a counting fast-plane ``ctx`` runs ``op``
+        fused, charged the instrumented tally of ``name`` at this scheme
+        and grid shape (:meth:`~repro.kernels.trunc.TruncFastPlaneContext.counted`)."""
+        if self._fused_bubble and ctx.plane == "fast" and not ctx.fused:
+            key = (name, self.config.advection_scheme, self.pres.shape)
+            truncated = ctx.counted(key, op)
+        else:
+            truncated = op(ctx)
         if truncate_mask is None or not ctx.truncating:
             return truncated
         if truncate_mask.all():
@@ -370,10 +378,10 @@ class BubbleSolver:
 
         mu = self.levelset.viscosity(cfg.nu_liquid, cfg.nu_liquid * cfg.viscosity_ratio / cfg.density_ratio)
 
-        adv_u = self._maybe_blend(lambda c: self.advection_term(self.velx, c, "u"), adv_ctx, truncate_mask)
-        adv_v = self._maybe_blend(lambda c: self.advection_term(self.vely, c, "v"), adv_ctx, truncate_mask)
-        diff_u = self._maybe_blend(lambda c: self.diffusion_term(self.velx, mu, c, "u"), diff_ctx, truncate_mask)
-        diff_v = self._maybe_blend(lambda c: self.diffusion_term(self.vely, mu, c, "v"), diff_ctx, truncate_mask)
+        adv_u = self._maybe_blend("advection", lambda c: self.advection_term(self.velx, c, "u"), adv_ctx, truncate_mask)
+        adv_v = self._maybe_blend("advection", lambda c: self.advection_term(self.vely, c, "v"), adv_ctx, truncate_mask)
+        diff_u = self._maybe_blend("diffusion", lambda c: self.diffusion_term(self.velx, mu, c, "u"), diff_ctx, truncate_mask)
+        diff_v = self._maybe_blend("diffusion", lambda c: self.diffusion_term(self.vely, mu, c, "v"), diff_ctx, truncate_mask)
 
         fx_st, fy_st = self._surface_tension()
         buoy = self._buoyancy()
@@ -425,8 +433,7 @@ class BubbleSolver:
         self._apply_velocity_bcs()
 
         # interface transport (advection operator: truncation target)
-        phi_op = lambda c: self._advect_levelset(c)
-        new_phi = self._maybe_blend(phi_op, adv_ctx, truncate_mask)
+        new_phi = self._maybe_blend("levelset", self._advect_levelset, adv_ctx, truncate_mask)
         self.levelset.phi = new_phi
         self.step_count += 1
         self.time += dt

@@ -21,8 +21,9 @@ on:
   truncating rounding hook of :mod:`repro.kernels.trunc`, an in-place
   :func:`repro.core.quantize.quantize` (``out=``) at exactly the op
   boundaries the instrumented plane rounds at, bit-identical to the optimized op-by-op truncating path; counting
-  ones keep their counters (op-by-op, except the hydro block update,
-  which runs fused and charges the instrumented tally).
+  ones keep their counters (op-by-op, except the hydro block update and
+  the bubble operators, which run fused and charge the instrumented
+  tally).
 
 Each fused kernel has one source: it calls a rounding hook ``q`` after
 every arithmetic op, and each fast-plane context carries its hook as

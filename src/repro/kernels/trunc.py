@@ -18,7 +18,9 @@ dispatch layer routes eligible truncating contexts onto:
   ``TruncatedContext.const``;
 * :class:`TruncFastPlaneContext` — the truncating context that carries a
   :class:`Rounder` onto the fused kernels (counting or not: a counting one
-  records exactly what the instrumented context records).
+  records exactly what the instrumented context records, and its
+  :meth:`~TruncFastPlaneContext.counted` operators run fused and charge a
+  per-context memoised instrumented tally).
 
 Bit-identity contract
 ---------------------
@@ -48,13 +50,14 @@ relies on).  The kernels reproduce that op stream term for term:
 """
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
 from ..core.fpformat import FPFormat
-from ..core.opmode import TruncatedContext
+from ..core.opmode import FPContext, TruncatedContext
 from ..core.quantize import RoundingMode, quantize, quantize_const
+from ..core.runtime import RaptorRuntime
 from .scratch import Workspace
 from .scratch import out_accessor as _o
 
@@ -164,18 +167,19 @@ class TruncFastPlaneContext(TruncatedContext):
     forced off — per-op error statistics need the op-by-op stream).
     Inherits the optimized ``TruncatedContext`` op-by-op semantics — and
     its recording — verbatim for any code path without a fused kernel (the
-    incomp advection tail, level-set transport, diffusion…), so every
-    operation, fused or not, is bit-identical to the instrumented plane and
-    every op it runs op-by-op is counted exactly as there.
+    cellular EOS/burn network…), so every operation, fused or not, is
+    bit-identical to the instrumented plane and every op it runs op-by-op
+    is counted exactly as there.
 
     A non-counting context sets the ``fused`` flag, like the binary64
     :class:`~repro.kernels.fast.FastPlaneContext`: solvers then call the
     fused kernels with ``q=ctx.rounder``, a :class:`Rounder` for this format
     and rounding.  A counting context leaves ``fused`` off, so the
-    per-stage shortcuts still run (and count) op-by-op; only the hydro
-    solver, whose whole-block op stream is data-independent, runs it on the
-    fused pipeline and charges the instrumented tally (see
-    ``HydroSolver.advance_block``).
+    per-stage shortcuts still run (and count) op-by-op.  Whole operators
+    whose instrumented op stream depends on shapes and scheme settings
+    only — the hydro block update, the bubble's advection, diffusion and
+    level-set transport — run through :meth:`counted` instead: fused on
+    :attr:`sibling`, charged the memoised instrumented tally.
     """
 
     plane = "fast"
@@ -202,12 +206,56 @@ class TruncFastPlaneContext(TruncatedContext):
         self.name = f"e{fmt.exp_bits}m{fmt.man_bits}-fast"
         self.rounder = Rounder(fmt, rounding)
         self.fused = not (count_ops or track_memory)
+        #: the non-counting, ``fused`` twin that operators with a known
+        #: tally run on (the context itself when it records nothing)
+        self.sibling = self if self.fused else TruncFastPlaneContext(
+            fmt, runtime=self.runtime, module=module, rounding=rounding
+        )
+        #: memo key -> the (ops, bytes) the instrumented op stream records
+        self.tallies: Dict[Hashable, Tuple[int, int]] = {}
 
     @classmethod
     def from_context(cls, ctx: TruncatedContext) -> "TruncFastPlaneContext":
         """Clone an eligible instrumented truncating context onto the plane."""
         return cls(ctx.fmt, runtime=ctx.runtime, module=ctx.module, rounding=ctx.rounding,
                    count_ops=ctx.count_ops, track_memory=ctx.track_memory)
+
+    # -- counted fused operators --------------------------------------------
+    def counted(self, key: Hashable, op: Callable[[FPContext], Any]) -> Any:
+        """``op``'s result, counted as the instrumented plane counts it.
+
+        ``op(c)`` must evaluate one operator under the context ``c`` it is
+        given — op-by-op on an instrumented context, through the fused
+        kernels on a ``fused`` one — and ``key`` must name everything its
+        instrumented op stream depends on besides the values (operator,
+        field shapes, scheme settings; format and rounding are this
+        context's).  The first call per key :meth:`learn`\\ s the tally;
+        later ones run ``op`` fused on :attr:`sibling` and :meth:`charge`
+        it.  Both results are bit-identical to the instrumented plane's.
+        """
+        if key not in self.tallies:
+            return self.learn(key, op)
+        self.charge(key)
+        return op(self.sibling)
+
+    def learn(self, key: Hashable, op: Callable[[FPContext], Any]) -> Any:
+        """Run ``op`` op-by-op on an instrumented twin counting into a
+        private runtime, memoise its (ops, bytes) under ``key`` and charge
+        them."""
+        twin = TruncatedContext(
+            self.fmt, runtime=RaptorRuntime("tally"), module=self.module,
+            count_ops=self.count_ops, track_memory=self.track_memory, rounding=self.rounding,
+        )
+        result = op(twin)
+        self.tallies[key] = (twin.runtime.ops.truncated, twin.runtime.mem.truncated)
+        self.charge(key)
+        return result
+
+    def charge(self, key: Hashable) -> None:
+        """Record the memoised tally of ``key`` on this context's runtime."""
+        ops, nbytes = self.tallies[key]
+        self.runtime.record_truncated_ops(ops, module=self.module)
+        self.runtime.record_truncated_bytes(nbytes)
 
     def describe(self) -> str:
         counters = "no counters" if self.fused else "counting"

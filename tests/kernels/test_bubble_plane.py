@@ -454,23 +454,38 @@ class TestKnobAndFullRuns:
             assert_bits(fast[key], val, f"blend/{key}")
 
     def test_counting_contexts_and_counters_untouched(self, monkeypatch):
-        """Counting (instrumented) truncating contexts never ride the
-        bubble plane: states and op counters are byte-identical with the
-        knob on or off."""
-        def run(fused):
+        """Counting truncating contexts keep their states and op counters
+        byte-identical with the knob on or off: instrumented ones never
+        ride the bubble plane, and a counting ``plane="auto"`` policy's
+        fast-plane contexts run its operators fused while charging the
+        instrumented tally."""
+        def run(fused, route):
             if fused:
                 monkeypatch.delenv("RAPTOR_FAST_NO_BUBBLE", raising=False)
             else:
                 monkeypatch.setenv("RAPTOR_FAST_NO_BUBBLE", "1")
             wl = create_workload("bubble", **TINY_BUBBLE)
-            out = wl.run_strategy("everywhere", 10)
+            if route == "instrumented-contexts":
+                out = wl.run_strategy("everywhere", 10)
+            else:
+                rt = RaptorRuntime()
+                policy = GlobalPolicy(TruncationConfig(targets={64: E8M10}),
+                                      runtime=rt, plane="auto")
+                assert isinstance(policy.context_for(module="advection"),
+                                  TruncFastPlaneContext)
+                out = wl.run(policy=policy, runtime=rt)
             monkeypatch.delenv("RAPTOR_FAST_NO_BUBBLE", raising=False)
             return out
 
-        on, off = run(True), run(False)
-        for key in off.state:
-            assert_bits(on.state[key], off.state[key], key)
-        assert on.info == off.info
+        for route in ("instrumented-contexts", "auto-policy"):
+            on, off = run(True, route), run(False, route)
+            for key in off.state:
+                assert_bits(on.state[key], off.state[key], f"{route}/{key}")
+            assert on.info == off.info, route
+            snap_on, snap_off = on.runtime.snapshot(), off.runtime.snapshot()
+            assert snap_off["ops"]["truncated"] > 0 and snap_off["mem"]["truncated"] > 0
+            for field in ("ops", "mem", "modules"):
+                assert snap_on[field] == snap_off[field], f"{route}/{field}"
 
 
 # ---------------------------------------------------------------------------

@@ -42,17 +42,23 @@ COUNTED_CONFIGS = {
     for name in ("sod", "sedov", "kelvin-helmholtz", "rayleigh-taylor", "double-blast")
 }
 COUNTED_CONFIGS["double-blast"]["t_end"] = 0.0002
+#: the bubble's counted operators (advection, diffusion, level set) run on
+#: the fused bubble plane under "auto"; its interface-distance levels give
+#: M-1 a blend of truncated and binary64 cells
+COUNTED_CONFIGS["bubble"] = TINY_CONFIGS["bubble"]
 COUNTED_POLICIES = (
     PolicySpec(kind="global"), PolicySpec.amr_cutoff(1), PolicySpec.module("hydro"),
 )
 COUNTED_ROUNDINGS = ("nearest-even", "toward-zero")
 COUNTED_RUNS = (("instrumented", "serial"), ("auto", "serial"), ("auto", "process"))
-#: (workload, policy, rounding) — "rk2" is the rk_stages=2 Sedov sweep
+#: (workload, policy, rounding) — "rk2" is the rk_stages=2 Sedov sweep; the
+#: hydro module maps to full precision on the bubble, which counts nothing
 COUNTED_CASES = [
     (workload, policy.describe(), rounding)
     for workload in COUNTED_CONFIGS
     for policy in COUNTED_POLICIES
     for rounding in COUNTED_ROUNDINGS
+    if not (workload == "bubble" and policy.kind == "module")
 ] + [("sedov", policy.describe(), "rk2") for policy in COUNTED_POLICIES]
 
 
@@ -143,7 +149,8 @@ class TestAllWorkloadsThroughRunSweep:
     @pytest.fixture(scope="class")
     def counted(self):
         """Counted sweeps (the default ``count_point_ops=True``) of every
-        compressible workload × {global, M-1, module[hydro]}, per rounding:
+        compressible workload and the bubble × {global, M-1,
+        module[hydro]}, per rounding:
         the instrumented plane on the serial backend, ``plane="auto"`` on
         both backends."""
 
@@ -178,9 +185,9 @@ class TestAllWorkloadsThroughRunSweep:
                                                     rounding, backend):
         """plane="auto" (the default) must keep every counted point's
         metrics — errors and op/byte counters — identical to the
-        instrumented plane: the counted hydro blocks run the fused pipeline
-        and charge the instrumented tally, the references move to the fast
-        plane."""
+        instrumented plane: the counted hydro blocks and bubble operators
+        run the fused kernels and charge the instrumented tally, the
+        references move to the fast plane."""
         instrumented = counted[("instrumented", "serial", rounding)]
         auto = counted[("auto", backend, rounding)]
 
@@ -191,6 +198,26 @@ class TestAllWorkloadsThroughRunSweep:
         ours, theirs = point(instrumented), point(auto)
         assert ours.ops["truncated"] + ours.ops["full"] > 0
         assert theirs.metrics_key() == ours.metrics_key()
+
+    def test_counted_bubble_cliff_identical_across_planes(self):
+        """A counted bubble cliff search probes the same formats and reads
+        the same errors and truncated fractions on either plane."""
+        from repro.experiments import find_cliff
+
+        def search(plane):
+            return find_cliff("bubble", config_kwargs=TINY_CONFIGS["bubble"],
+                              min_man_bits=4, max_man_bits=24, threshold=1e-4,
+                              plane=plane)
+
+        instrumented, auto = search("instrumented"), search("auto")
+
+        def probes(result):
+            return [(e.man_bits, e.error, e.passed, e.truncated_fraction)
+                    for e in result.evaluations]
+
+        assert all(e.truncated_fraction > 0 for e in instrumented.evaluations)
+        assert probes(auto) == probes(instrumented)
+        assert auto.cliff_man_bits == instrumented.cliff_man_bits
 
     def test_fast_plane_drops_full_precision_counters(self, results):
         fast = results[("fast", "serial")]

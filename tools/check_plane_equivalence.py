@@ -19,7 +19,9 @@ M-1 (at ``max_level=3``, so binary64 and truncated levels mix):
 ``plane="auto"`` (the counted hydro blocks run the fused pipeline and
 charge the instrumented op/byte tally) vs ``plane="instrumented"`` — the
 states must match bitwise and the runtime snapshots' ``ops``/``mem``/
-``modules`` counters exactly.  A fourth pass
+``modules`` counters exactly; it closes with a counted rising-bubble run,
+whose advection, diffusion and level-set operators run fused and charge
+the instrumented tally the same way.  A fourth pass
 drives a regrid-heavy Kelvin–Helmholtz configuration (``max_level=3``,
 regrid every step, so guard-fill plans are rebuilt constantly and
 coarse/fine strips stay hot) through the fused *grid* plane — batched
@@ -103,8 +105,9 @@ def _diff_trunc_planes(name: str, config: dict) -> list:
     return _diff_outcomes(f"{name} (truncated)", run("instrumented"), run("auto"))
 
 
-def _diff_counted_planes(name: str, config: dict) -> list:
-    """Counting e8m10 runs (global and M-1): the counted fused pipeline vs
+def _diff_counted_planes(name: str, config: dict, module: str = "hydro",
+                         m1_config: dict = COUNTED_M1) -> list:
+    """Counting e8m10 runs (global and M-1): the counted fused operators vs
     the op-by-op instrumented plane — states *and* op/byte counters."""
     from repro.core import (AMRCutoffPolicy, FPFormat, GlobalPolicy,
                             RaptorRuntime, TruncationConfig)
@@ -115,7 +118,7 @@ def _diff_counted_planes(name: str, config: dict) -> list:
         runtime = RaptorRuntime()
         trunc = TruncationConfig(targets={64: FPFormat(exp_bits=8, man_bits=10)})
         policy = make_policy(trunc, runtime, plane)
-        ctx = policy.context_for(module="hydro", level=1, max_level=run_config["max_level"])
+        ctx = policy.context_for(module=module, level=1, max_level=run_config.get("max_level"))
         outcome = create_workload(name, **run_config).run(policy=policy, runtime=runtime)
         return outcome, isinstance(ctx, TruncFastPlaneContext)
 
@@ -123,7 +126,7 @@ def _diff_counted_planes(name: str, config: dict) -> list:
     for kind, make_policy, run_config in (
         ("global", lambda c, rt, plane: GlobalPolicy(c, runtime=rt, plane=plane), config),
         ("M-1", lambda c, rt, plane: AMRCutoffPolicy(c, cutoff=1, runtime=rt, plane=plane),
-         dict(config, **COUNTED_M1)),
+         dict(config, **m1_config)),
     ):
         label = f"{name} (counted, {kind})"
         instrumented, _ = run(make_policy, run_config, "instrumented")
@@ -131,6 +134,8 @@ def _diff_counted_planes(name: str, config: dict) -> list:
         if not on_fast_plane:
             failures.append(f"{label}: plane='auto' kept the counting context instrumented")
         failures.extend(_diff_outcomes(label, instrumented, auto))
+        if instrumented.info != auto.info:
+            failures.append(f"{label}: run summaries differ: {instrumented.info} vs {auto.info}")
         a, b = instrumented.runtime.snapshot(), auto.runtime.snapshot()
         if a["ops"]["truncated"] == 0:
             failures.append(f"{label}: the instrumented run counted no truncated ops")
@@ -278,6 +283,8 @@ def main() -> int:
         failures.extend(_diff_counted_planes(name, config))
     failures.extend(_diff_grid_plane())
     failures.extend(_diff_bubble_planes())
+    # the bubble's interface-distance levels need no deeper grid for M-1
+    failures.extend(_diff_counted_planes("bubble", BUBBLE_GOLDEN, "advection", {}))
 
     if failures:
         print("FAIL: fast plane is not bit-identical to the instrumented plane")
@@ -291,7 +298,8 @@ def main() -> int:
         "truncated (e8m10); counted e8m10 (global and M-1) bitwise identical "
         "with byte-identical op/byte counters; regrid-heavy KH bitwise identical with the "
         "fused grid plane on and off; rising bubble bitwise identical on "
-        "the fused bubble plane, full-precision and truncated"
+        "the fused bubble plane, full-precision and truncated; counted e8m10 "
+        "bubble (global and M-1) bitwise identical with byte-identical counters"
     )
     return 0
 
