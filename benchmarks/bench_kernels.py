@@ -105,8 +105,9 @@ VARIANTS = (
     ("fast", "fast", {}),
 )
 
-#: workloads whose hydro hot path has fused truncating twins
-TRUNC_WORKLOADS = ("sod", "sedov", "kelvin-helmholtz")
+#: workloads whose truncated hot path has fused truncating twins (the
+#: hydro flux pipeline; cellular's EOS inversion and pressure lookups)
+TRUNC_WORKLOADS = ("sod", "sedov", "kelvin-helmholtz", "cellular")
 
 #: bubble workload configurations (the Figure 1 protocol at sweep scale)
 BUBBLE_CONFIGS = dict(

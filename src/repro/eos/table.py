@@ -22,13 +22,17 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..core.opmode import FPContext, FullPrecisionContext
+from ..kernels.eos import Bilinear
 
-__all__ = ["HelmholtzTable"]
+__all__ = ["HelmholtzTable", "DERIVATIVE_EPS"]
 
 # physical-ish constants in CGS-flavoured units (values only set scales)
 _K_B_OVER_MU = 8.314e7      # ideal-gas specific energy scale (erg/g/K per mean molecular weight)
 _A_RAD = 7.5657e-15         # radiation constant (erg/cm^3/K^4)
 _ELECTRON_COEFF = 3.0e6     # degenerate-electron-like contribution scale
+
+#: relative temperature step of the centred de/dT difference
+DERIVATIVE_EPS = 1e-4
 
 
 @dataclass
@@ -94,8 +98,12 @@ class HelmholtzTable:
 
         Index search runs on plain values (integer work); the arithmetic of
         the interpolation itself goes through the numerics context so the
-        EOS module can be truncated.
+        EOS module can be truncated.  A ``fused`` context with same-shaped
+        array operands runs the twin :class:`repro.kernels.eos.Bilinear`
+        with its rounding hook instead.
         """
+        if ctx.fused and np.ndim(rho) > 0 and np.shape(rho) == np.shape(temp):
+            return Bilinear(self, rho, q=ctx.rounder)(table, temp)
         log_rho = np.log10(np.maximum(ctx.asplain(rho), 10.0 ** self.log_rho[0]))
         log_temp = np.log10(np.maximum(ctx.asplain(temp), 10.0 ** self.log_temp[0]))
         i = self._locate(self.log_rho, log_rho)
@@ -140,7 +148,8 @@ class HelmholtzTable:
         ctx = ctx or FullPrecisionContext(count_ops=False, track_memory=False)
         return self._bilinear(self.pressure_table, rho, temp, ctx)
 
-    def energy_derivative(self, rho, temp, ctx: Optional[FPContext] = None, eps: float = 1e-4):
+    def energy_derivative(self, rho, temp, ctx: Optional[FPContext] = None,
+                          eps: float = DERIVATIVE_EPS):
         """de/dT at constant density, from a centred difference of the table
         interpolation (this is what the Newton–Raphson update divides by —
         the cancellation-prone operation that reacts badly to truncation)."""

@@ -156,7 +156,8 @@ def validate_fault_tolerance(
 
 def validate_config_overrides(workload_configs: Mapping[str, Mapping[str, object]]) -> None:
     """Probe each override against its workload's ``config_class`` so
-    typo'd field names fail at validation time, not inside a worker."""
+    typo'd field names and values the config rejects fail at validation
+    time, not inside a worker."""
     from ..workloads.registry import get_workload_class
 
     for name, kwargs in workload_configs.items():
@@ -164,7 +165,7 @@ def validate_config_overrides(workload_configs: Mapping[str, Mapping[str, object
         if config_class is not None:
             try:
                 config_class(**kwargs)
-            except TypeError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"invalid workload_configs for {name!r}: {exc}") from None
 
 

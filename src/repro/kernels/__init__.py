@@ -21,8 +21,9 @@ on:
   truncating rounding hook of :mod:`repro.kernels.trunc`, an in-place
   :func:`repro.core.quantize.quantize` (``out=``) at exactly the op
   boundaries the instrumented plane rounds at, bit-identical to the optimized op-by-op truncating path; counting
-  ones keep their counters (op-by-op, except the hydro block update and
-  the bubble operators, which run fused and charge the instrumented
+  ones keep their counters (op-by-op, except the hydro block update, the
+  bubble operators and the cellular EOS inversion of
+  :mod:`repro.kernels.eos`, which run fused and charge the instrumented
   tally).
 
 Each fused kernel has one source: it calls a rounding hook ``q`` after
@@ -53,7 +54,7 @@ consume, so kernel code depends on ``repro.kernels`` alone.
 """
 from ..core.memmode import ShadowContext
 from ..core.opmode import FPContext, FullPrecisionContext, TruncatedContext, make_context
-from . import bubble, flux, fused, grid, scratch, trunc
+from . import bubble, eos, flux, fused, grid, scratch, trunc
 from .dispatch import (
     DEFAULT_PLANE,
     PLANES,
@@ -88,6 +89,7 @@ __all__ = [
     "flux",
     "grid",
     "bubble",
+    "eos",
     "trunc",
     # scratch workspaces
     "scratch",

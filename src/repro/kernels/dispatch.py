@@ -19,12 +19,13 @@ computes:
   bit-identical (the fused planes evaluate the same ufunc expression
   trees, quantised at the same op boundaries).  A *counting* truncating
   context keeps its counters: it is not ``fused``, so it runs op-by-op
-  (and counts exactly) everywhere except the whole operators whose op
-  stream depends on shapes and scheme settings only — the hydro block
-  update and the bubble's advection, diffusion and level-set transport.
-  Those run fused and charge the op/byte tally of the instrumented
-  stream, memoised per context
-  (:meth:`~repro.kernels.trunc.TruncFastPlaneContext.counted`).
+  (and counts exactly) everywhere except the operators whose op stream
+  depends on shapes and scheme settings only — the hydro block update,
+  the bubble's advection, diffusion and level-set transport, and each
+  iteration of the cellular Newton EOS inversion
+  (:mod:`repro.kernels.eos`) plus its pressure lookup.  Those run fused
+  and charge the op/byte tally of the instrumented stream, memoised per
+  context (:meth:`~repro.kernels.trunc.TruncFastPlaneContext.counted`).
   Error-tracking, naive (``optimized=False``) and shadow contexts are the
   measurement itself and always remain instrumented.  A counting binary64
   context is substituted too, but its counters then read zero, which is

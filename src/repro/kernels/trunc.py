@@ -1,11 +1,12 @@
 """The fused truncating plane: the rounding hooks of the single-source kernels.
 
-The fused kernels of :mod:`repro.kernels.fused`, :mod:`repro.kernels.flux`
-and :mod:`repro.kernels.bubble` are written once.  Every kernel takes a
-rounding hook ``q`` and calls it after each arithmetic op, the way
-RAPTOR's compiler pass puts a truncate hook at every floating-point op of
-one kernel source.  This module provides the two hooks and the context the
-dispatch layer routes eligible truncating contexts onto:
+The fused kernels of :mod:`repro.kernels.fused`, :mod:`repro.kernels.flux`,
+:mod:`repro.kernels.bubble` and :mod:`repro.kernels.eos` are written once.
+Every kernel takes a rounding hook ``q`` and calls it after each arithmetic
+op, the way RAPTOR's compiler pass puts a truncate hook at every
+floating-point op of one kernel source.  This module provides the two hooks
+and the context the dispatch layer routes eligible truncating contexts
+onto:
 
 * :data:`EXACT` (:class:`ExactRounder`) — the identity, used by the
   binary64 fast plane: ``q(a)`` and ``q.lift`` return their input object,
@@ -66,6 +67,7 @@ __all__ = [
     "ExactRounder",
     "Rounder",
     "TruncFastPlaneContext",
+    "counted",
 ]
 
 # ---------------------------------------------------------------------------
@@ -166,10 +168,9 @@ class TruncFastPlaneContext(TruncatedContext):
     mode and counters (``count_ops``/``track_memory``; ``track_errors`` is
     forced off — per-op error statistics need the op-by-op stream).
     Inherits the optimized ``TruncatedContext`` op-by-op semantics — and
-    its recording — verbatim for any code path without a fused kernel (the
-    cellular EOS/burn network…), so every operation, fused or not, is
-    bit-identical to the instrumented plane and every op it runs op-by-op
-    is counted exactly as there.
+    its recording — verbatim for any code path without a fused kernel,
+    so every operation, fused or not, is bit-identical to the instrumented
+    plane and every op it runs op-by-op is counted exactly as there.
 
     A non-counting context sets the ``fused`` flag, like the binary64
     :class:`~repro.kernels.fast.FastPlaneContext`: solvers then call the
@@ -178,8 +179,12 @@ class TruncFastPlaneContext(TruncatedContext):
     per-stage shortcuts still run (and count) op-by-op.  Whole operators
     whose instrumented op stream depends on shapes and scheme settings
     only — the hydro block update, the bubble's advection, diffusion and
-    level-set transport — run through :meth:`counted` instead: fused on
-    :attr:`sibling`, charged the memoised instrumented tally.
+    level-set transport, the cellular pressure lookup — run through
+    :meth:`counted` instead: fused on :attr:`sibling`, charged the
+    memoised instrumented tally.  The Newton EOS inversion, whose
+    iteration count depends on the data, learns one tally per iteration
+    part the same way and then :meth:`charge`\\ s it per iteration (see
+    :func:`repro.eos.newton.invert_energy`).
     """
 
     plane = "fast"
@@ -263,3 +268,12 @@ class TruncFastPlaneContext(TruncatedContext):
             f"TruncFastPlaneContext(e{self.fmt.exp_bits}m{self.fmt.man_bits}, "
             f"rounding={self.rounding}, fused truncating kernels, {counters})"
         )
+
+
+def counted(ctx: FPContext, key: Hashable, op: Callable[[FPContext], Any]) -> Any:
+    """``op(ctx)``, through :meth:`TruncFastPlaneContext.counted` when
+    ``ctx`` is a counting fast-plane context (the only kind that is on the
+    fast plane but not ``fused``)."""
+    if ctx.plane == "fast" and not ctx.fused:
+        return ctx.counted(key, op)
+    return op(ctx)

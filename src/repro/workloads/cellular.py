@@ -28,6 +28,7 @@ from ..core.runtime import RaptorRuntime
 from ..core.selective import ModulePolicy, NoTruncationPolicy, TruncationPolicy
 from ..eos.newton import NewtonSolverConfig, invert_energy
 from ..eos.table import HelmholtzTable
+from ..kernels.trunc import counted
 from .registry import register_workload
 from .scenario import Outcome, Scenario
 
@@ -52,6 +53,17 @@ class CellularConfig:
     burn: CarbonBurnNetwork = field(
         default_factory=lambda: CarbonBurnNetwork(rate_prefactor=1e9, activation_t9=10.0)
     )
+
+    def __post_init__(self) -> None:
+        if self.n_cells < 2:
+            raise ValueError(f"n_cells must be >= 2, got {self.n_cells}")
+        if self.n_steps < 1:
+            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        if not 0 < self.cfl <= 1:
+            raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
+        for name in ("length", "fuel_density", "ambient_temperature", "ignition_temperature"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 
     @property
     def finest_cells(self):
@@ -98,7 +110,8 @@ class CellularWorkload(Scenario):
         state: Dict[str, np.ndarray],
         ctx: FPContext,
     ):
-        """Invert the table for temperature, then evaluate pressure."""
+        """Invert the table for temperature, then evaluate pressure (one
+        bilinear lookup, counted per lane shape on a counting fast plane)."""
         result = invert_energy(
             self.table,
             state["dens"],
@@ -108,7 +121,9 @@ class CellularWorkload(Scenario):
             ctx,
         )
         state["temp"] = np.clip(result.temperature, 1.1e7, 9.5e9)
-        pres = np.asarray(ctx.asplain(self.table.pressure(state["dens"], state["temp"], ctx)))
+        pres = counted(ctx, ("eos.pressure", state["dens"].shape),
+                       lambda c: self.table.pressure(state["dens"], state["temp"], c))
+        pres = np.asarray(ctx.asplain(pres))
         return pres, result
 
     def _sound_speed(self, state: Dict[str, np.ndarray], pres: np.ndarray) -> np.ndarray:

@@ -49,6 +49,9 @@ COUNTED_CONFIGS["bubble"] = TINY_CONFIGS["bubble"]
 COUNTED_POLICIES = (
     PolicySpec(kind="global"), PolicySpec.amr_cutoff(1), PolicySpec.module("hydro"),
 )
+#: cellular's counted Newton inversion and pressure lookup run on the fused
+#: EOS kernel under "auto"; the eos module is its only truncation target
+CELLULAR_POLICIES = (PolicySpec(kind="global"), PolicySpec.module("eos"))
 COUNTED_ROUNDINGS = ("nearest-even", "toward-zero")
 COUNTED_RUNS = (("instrumented", "serial"), ("auto", "serial"), ("auto", "process"))
 #: (workload, policy, rounding) — "rk2" is the rk_stages=2 Sedov sweep; the
@@ -59,7 +62,11 @@ COUNTED_CASES = [
     for policy in COUNTED_POLICIES
     for rounding in COUNTED_ROUNDINGS
     if not (workload == "bubble" and policy.kind == "module")
-] + [("sedov", policy.describe(), "rk2") for policy in COUNTED_POLICIES]
+] + [("sedov", policy.describe(), "rk2") for policy in COUNTED_POLICIES] + [
+    ("cellular", policy.describe(), rounding)
+    for policy in CELLULAR_POLICIES
+    for rounding in COUNTED_ROUNDINGS
+]
 
 
 def _assert_states_equal(a, b, label):
@@ -150,15 +157,15 @@ class TestAllWorkloadsThroughRunSweep:
     def counted(self):
         """Counted sweeps (the default ``count_point_ops=True``) of every
         compressible workload and the bubble × {global, M-1,
-        module[hydro]}, per rounding:
-        the instrumented plane on the serial backend, ``plane="auto"`` on
-        both backends."""
+        module[hydro]} and of cellular × {global, module[eos]}, per
+        rounding: the instrumented plane on the serial backend,
+        ``plane="auto"`` on both backends."""
 
-        def spec(plane, backend, rounding, configs=COUNTED_CONFIGS):
+        def spec(plane, backend, rounding, configs=COUNTED_CONFIGS, policies=COUNTED_POLICIES):
             return SweepSpec(
                 workloads=tuple(configs),
                 formats=("bf16",),
-                policies=COUNTED_POLICIES,
+                policies=policies,
                 workload_configs=configs,
                 rounding=rounding,
                 plane=plane,
@@ -167,14 +174,18 @@ class TestAllWorkloadsThroughRunSweep:
                 count_point_ops=True,
             )
 
+        cellular = {"cellular": TINY_CONFIGS["cellular"]}
         runs = {
-            (plane, backend, rounding): run_sweep(spec(plane, backend, rounding))
+            (plane, backend, rounding): [
+                run_sweep(spec(plane, backend, rounding)),
+                run_sweep(spec(plane, backend, rounding, cellular, CELLULAR_POLICIES)),
+            ]
             for rounding in COUNTED_ROUNDINGS
             for plane, backend in COUNTED_RUNS
         }
         rk2 = {"sedov": dict(COUNTED_CONFIGS["sedov"], rk_stages=2)}
         runs.update({
-            (plane, backend, "rk2"): run_sweep(spec(plane, backend, "nearest-even", rk2))
+            (plane, backend, "rk2"): [run_sweep(spec(plane, backend, "nearest-even", rk2))]
             for plane, backend in COUNTED_RUNS
         })
         return runs
@@ -185,14 +196,14 @@ class TestAllWorkloadsThroughRunSweep:
                                                     rounding, backend):
         """plane="auto" (the default) must keep every counted point's
         metrics — errors and op/byte counters — identical to the
-        instrumented plane: the counted hydro blocks and bubble operators
-        run the fused kernels and charge the instrumented tally, the
-        references move to the fast plane."""
+        instrumented plane: the counted hydro blocks, bubble operators and
+        cellular EOS inversions run the fused kernels and charge the
+        instrumented tally, the references move to the fast plane."""
         instrumented = counted[("instrumented", "serial", rounding)]
         auto = counted[("auto", backend, rounding)]
 
-        def point(result):
-            return next(p for p in result.points
+        def point(results):
+            return next(p for result in results for p in result.points
                         if p.workload == workload and p.policy == policy)
 
         ours, theirs = point(instrumented), point(auto)
@@ -216,6 +227,29 @@ class TestAllWorkloadsThroughRunSweep:
                     for e in result.evaluations]
 
         assert all(e.truncated_fraction > 0 for e in instrumented.evaluations)
+        assert probes(auto) == probes(instrumented)
+        assert auto.cliff_man_bits == instrumented.cliff_man_bits
+
+    def test_counted_cellular_cliff_identical_across_planes(self):
+        """A counted cellular cliff search on the eos module — its Newton
+        inversions stall below the cliff and converge above it — probes
+        the same formats and reads the same errors and truncated fractions
+        on either plane."""
+        from repro.experiments import find_cliff
+
+        def search(plane):
+            return find_cliff("cellular", PolicySpec.module("eos"),
+                              config_kwargs=TINY_CONFIGS["cellular"],
+                              min_man_bits=8, max_man_bits=48, plane=plane)
+
+        instrumented, auto = search("instrumented"), search("auto")
+
+        def probes(result):
+            return [(e.man_bits, e.error, e.passed, e.truncated_fraction)
+                    for e in result.evaluations]
+
+        assert all(e.truncated_fraction > 0 for e in instrumented.evaluations)
+        assert {e.passed for e in instrumented.evaluations} == {True, False}
         assert probes(auto) == probes(instrumented)
         assert auto.cliff_man_bits == instrumented.cliff_man_bits
 

@@ -21,7 +21,10 @@ charge the instrumented op/byte tally) vs ``plane="instrumented"`` — the
 states must match bitwise and the runtime snapshots' ``ops``/``mem``/
 ``modules`` counters exactly; it closes with a counted rising-bubble run,
 whose advection, diffusion and level-set operators run fused and charge
-the instrumented tally the same way.  A fourth pass
+the instrumented tally the same way, and a counted cellular detonation
+truncating the ``eos`` module, whose Newton inversions and pressure
+lookups run on the fused EOS kernel and charge per-iteration tallies.
+A fourth pass
 drives a regrid-heavy Kelvin–Helmholtz configuration (``max_level=3``,
 regrid every step, so guard-fill plans are rebuilt constantly and
 coarse/fine strips stay hot) through the fused *grid* plane — batched
@@ -39,6 +42,7 @@ match bitwise.
 from __future__ import annotations
 
 import sys
+from typing import Optional
 
 import numpy as np
 
@@ -62,6 +66,10 @@ GRID_GOLDEN = dict(
     t_end=0.01, rk_stages=1, regrid_interval=1,
 )
 
+
+#: counted cellular pass: e8m10 stalls the Newton inversion, so every step
+#: runs the iteration limit on the fused EOS kernel
+CELLULAR_COUNTED = dict(n_cells=32, n_steps=8)
 
 #: the counted M-1 pass needs a third level: at max_level=2 the golden grids
 #: refine every root, so M-1 would leave no truncated block
@@ -106,9 +114,10 @@ def _diff_trunc_planes(name: str, config: dict) -> list:
 
 
 def _diff_counted_planes(name: str, config: dict, module: str = "hydro",
-                         m1_config: dict = COUNTED_M1) -> list:
-    """Counting e8m10 runs (global and M-1): the counted fused operators vs
-    the op-by-op instrumented plane — states *and* op/byte counters."""
+                         m1_config: Optional[dict] = COUNTED_M1) -> list:
+    """Counting e8m10 runs (global, and M-1 unless ``m1_config`` is None):
+    the counted fused operators vs the op-by-op instrumented plane — states
+    *and* op/byte counters."""
     from repro.core import (AMRCutoffPolicy, FPFormat, GlobalPolicy,
                             RaptorRuntime, TruncationConfig)
     from repro.kernels import TruncFastPlaneContext
@@ -122,12 +131,13 @@ def _diff_counted_planes(name: str, config: dict, module: str = "hydro",
         outcome = create_workload(name, **run_config).run(policy=policy, runtime=runtime)
         return outcome, isinstance(ctx, TruncFastPlaneContext)
 
+    passes = [("global", lambda c, rt, plane: GlobalPolicy(c, runtime=rt, plane=plane), config)]
+    if m1_config is not None:
+        passes.append(("M-1", lambda c, rt, plane: AMRCutoffPolicy(c, cutoff=1, runtime=rt,
+                                                                    plane=plane),
+                       dict(config, **m1_config)))
     failures = []
-    for kind, make_policy, run_config in (
-        ("global", lambda c, rt, plane: GlobalPolicy(c, runtime=rt, plane=plane), config),
-        ("M-1", lambda c, rt, plane: AMRCutoffPolicy(c, cutoff=1, runtime=rt, plane=plane),
-         dict(config, **m1_config)),
-    ):
+    for kind, make_policy, run_config in passes:
         label = f"{name} (counted, {kind})"
         instrumented, _ = run(make_policy, run_config, "instrumented")
         auto, on_fast_plane = run(make_policy, run_config, "auto")
@@ -285,6 +295,8 @@ def main() -> int:
     failures.extend(_diff_bubble_planes())
     # the bubble's interface-distance levels need no deeper grid for M-1
     failures.extend(_diff_counted_planes("bubble", BUBBLE_GOLDEN, "advection", {}))
+    # cellular has no AMR levels: M-1 would be the global pass again
+    failures.extend(_diff_counted_planes("cellular", CELLULAR_COUNTED, "eos", None))
 
     if failures:
         print("FAIL: fast plane is not bit-identical to the instrumented plane")
@@ -299,7 +311,8 @@ def main() -> int:
         "with byte-identical op/byte counters; regrid-heavy KH bitwise identical with the "
         "fused grid plane on and off; rising bubble bitwise identical on "
         "the fused bubble plane, full-precision and truncated; counted e8m10 "
-        "bubble (global and M-1) bitwise identical with byte-identical counters"
+        "bubble (global and M-1) and cellular (eos) bitwise identical with "
+        "byte-identical counters"
     )
     return 0
 
